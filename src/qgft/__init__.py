@@ -47,6 +47,8 @@ from .qft import (
     TransformSelection,
     classical_dft_via_rqft,
     dft_1d_complex,
+    ilqft_direct,
+    ilqft_fast,
     irqft_direct,
     irqft_fast,
     isqft_direct,

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``transform`` / ``inverse``: apply a transform (or its inverse) to a QSIG
-  file; ``--mode fast`` (default) or ``--mode direct``.
+* ``transform`` / ``inverse``: apply a transform of any kind (or its
+  inverse) to a QSIG file; ``--mode fast`` (default) or ``--mode direct``.
 * ``smooth``: convolve a primal QSIG file with a named kernel family level.
 * ``verify``: run the randomized identity suite on a group.
 * ``img2q`` / ``q2img``: bridge square binary PPM images (P6, maxval 255)
@@ -13,8 +13,8 @@ Subcommands:
 * ``bench``: wall-clock the fast and (for small sizes) direct evaluators.
 * ``dump``: print a QSIG file as CSV for debugging.
 
-Exit codes: 0 success, 1 verification/benchmark assertion failure, 2 usage
-or file-format error.  Output files are written atomically; no partial
+Exit codes: 0 success, 1 verification/benchmark assertion failure, 2 usage,
+file-format or path error.  Output files are written atomically; no partial
 file survives a failure.
 """
 
@@ -37,16 +37,7 @@ from .fileio import (
 )
 from .group import FiniteAbelianGroup
 from .kernels import BUILTIN_FAMILIES, builtin_family, smooth
-from .qft import (
-    TransformKind,
-    TransformSelection,
-    rqft_direct,
-    rqft_fast,
-    sqft_direct,
-    sqft_fast,
-    lqft_direct,
-    lqft_fast,
-)
+from .qft import FORWARD_DIRECT, FORWARD_FAST, TransformKind, TransformSelection
 from .quat import DEFAULT_AXES, AxisPair, Quaternion
 from .signal import QSignal, QSpectrum, lp_norm, random_signal
 from .verify import run_verification
@@ -75,13 +66,6 @@ def parse_axes(values) -> AxisPair:
         raise CliError(f"bad axes: {exc}") from exc
 
 
-_KINDS = {
-    "rqft": TransformKind.RIGHT,
-    "sqft": TransformKind.TWO_SIDED,
-    "lqft": TransformKind.LEFT,
-}
-
-
 def _load_primal(path: str) -> QSignal:
     sig = read_qsig(path)
     if not isinstance(sig, QSignal):
@@ -97,7 +81,7 @@ def _load_dual(path: str) -> QSpectrum:
 
 
 def _selection(args) -> TransformSelection:
-    return TransformSelection(_KINDS[args.kind], parse_axes(args.axes))
+    return TransformSelection(TransformKind(args.kind), parse_axes(args.axes))
 
 
 def cmd_transform(args) -> int:
@@ -183,17 +167,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-_BENCH_FUNCS = {
-    "rqft": (rqft_fast, rqft_direct),
-    "sqft": (sqft_fast, sqft_direct),
-    "lqft": (lqft_fast, lqft_direct),
-}
-
 DIRECT_BENCH_LIMIT = 48  # direct evaluators are O(N^3) per stage; cap them
 
 
 def cmd_bench(args) -> int:
-    fast_fn, direct_fn = _BENCH_FUNCS[args.kind]
+    kind = TransformKind(args.kind)
+    fast_fn, direct_fn = FORWARD_FAST[kind], FORWARD_DIRECT[kind]
     rng = np.random.default_rng(args.seed)
     print(f"{'N':>5} {'bins':>8} {'fast [s]':>10} {'direct [s]':>11} {'speedup':>8}")
     ok = True
@@ -246,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternion Fourier transforms on finite abelian groups.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    kinds = [k.value for k in TransformKind]
 
     def add_axes(p):
         p.add_argument(
@@ -260,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="forward transform of a primal QSIG file")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--kind", choices=sorted(_KINDS), default="rqft")
+    p.add_argument("--kind", choices=kinds, default="rqft")
     p.add_argument("--mode", choices=("fast", "direct"), default="fast")
     add_axes(p)
     p.set_defaults(func=cmd_transform)
@@ -268,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="inverse transform of a dual QSIG file")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--kind", choices=("rqft", "sqft"), default="rqft")
+    p.add_argument("--kind", choices=kinds, default="rqft")
     p.add_argument("--mode", choices=("fast", "direct"), default="fast")
     add_axes(p)
     p.set_defaults(func=cmd_inverse)
@@ -308,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time fast vs direct evaluators")
     p.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128, 256])
-    p.add_argument("--kind", choices=sorted(_BENCH_FUNCS), default="rqft")
+    p.add_argument("--kind", choices=kinds, default="rqft")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
@@ -324,7 +304,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, QsigFormatError, PpmFormatError, FileNotFoundError) as exc:
+    except (CliError, QsigFormatError, PpmFormatError, OSError) as exc:
         print(f"qgft: error: {exc}", file=sys.stderr)
         return 2
 

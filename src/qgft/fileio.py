@@ -113,7 +113,7 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
     payload = np.frombuffer(data, dtype="<f8", offset=need).reshape(n, n, 4)
     cls = QSpectrum if side == SIDE_DUAL else QSignal
     try:
-        return cls(group, payload.astype(np.float64))
+        return cls(group, payload)  # the grid constructor copies
     except ValueError as exc:  # non-finite payload
         raise QsigFormatError(str(exc)) from exc
 

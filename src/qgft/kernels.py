@@ -82,12 +82,11 @@ def _distance_family(name: str, profile: Callable[[int, int], float]) -> KernelF
 BUILTIN_FAMILIES = ("dirichlet", "fejer", "poisson_geometric")
 
 
-def builtin_family(name: str, group: FiniteAbelianGroup | None = None) -> KernelFamily:
+def builtin_family(name: str) -> KernelFamily:
     """One of the built-in families by name; unknown names are rejected.
 
     The families are distance-based and do not depend on the group beyond
-    the circular distance of each frequency, so ``group`` is accepted only
-    for symmetry with callers that carry one around.
+    the circular distance of each frequency.
     """
     if name == "dirichlet":
         return _distance_family(name, lambda l, d: 1.0 if d <= l else 0.0)

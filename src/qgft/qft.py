@@ -13,6 +13,7 @@ Conventions (fixed; every identity below depends on them):
   - two-sided     F(u,v) = sum conj(k1) * f(x) * conj(k2)
   - its inverse   f(x)   = w * sum k1 * F(u,v) * k2
   - left-sided    F(u,v) = sum conj(k1) * conj(k2) * f(x)
+  - its inverse   f(x)   = w * sum k2 * k1 * F(u,v)       (k1 applied first)
 
   The reversed kernel order of the right-sided inverse is what makes the
   round trip the identity; it is verified against the definition, not
@@ -52,11 +53,13 @@ __all__ = [
     "sqft_direct",
     "isqft_direct",
     "lqft_direct",
+    "ilqft_direct",
     "rqft_fast",
     "irqft_fast",
     "sqft_fast",
     "isqft_fast",
     "lqft_fast",
+    "ilqft_fast",
     "dft_1d_complex",
     "multiplication_pairing",
     "classical_dft_via_rqft",
@@ -64,17 +67,17 @@ __all__ = [
 
 
 class TransformKind(Enum):
+    # declaration order is the order of the per-kind checks in verify reports
     RIGHT = "rqft"
-    LEFT = "lqft"
     TWO_SIDED = "sqft"
+    LEFT = "lqft"
 
 
 @dataclass(frozen=True)
 class TransformSelection:
     """A transform choice bundled with its (validated) axis pair.
 
-    Dispatches to the matching evaluator; the left-sided transform has no
-    inverse evaluator here, mirroring the CLI surface.
+    Dispatches to the matching evaluator in the registry tables below.
     """
 
     kind: TransformKind
@@ -86,8 +89,6 @@ class TransformSelection:
 
     def inverse(self, F: QSpectrum, fast: bool = True) -> QSignal:
         table = INVERSE_FAST if fast else INVERSE_DIRECT
-        if self.kind not in table:
-            raise ValueError(f"no inverse evaluator for {self.kind}")
         return table[self.kind](F, self.axes)
 
 
@@ -149,6 +150,16 @@ def lqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     # F[u, v] = sum_x1 conj(k1[u, x1]) * p[v, x1]
     out = qmul(k1c[:, None, :, :], p[None, :, :, :]).sum(axis=2)
     return QSpectrum(f.group, out)
+
+
+def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
+    """Inverse of the left-sided transform; k1 meets F first, k2 goes left."""
+    k1, k2 = _tables(F.group, axes)
+    # p[x1, v] = sum_u k1[u, x1] * F(u, v)
+    p = qmul(k1[:, :, None, :], F.values[:, None, :, :]).sum(axis=0)
+    # f[x1, x2] = w * sum_v k2[v, x2] * p[x1, v]
+    out = qmul(k2[None, :, :, :], p[:, :, None, :]).sum(axis=1)
+    return QSignal(F.group, out * F.group.dual_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +268,16 @@ def lqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     return QSpectrum(grp, qconj(out.values) * float(grp.order) ** 2)
 
 
+def ilqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
+    """Inverse left-sided transform by the same conjugation symmetry:
+    ilqft(F) = conj(rqft(conj(F))) / |G|^2."""
+    grp = F.group
+    out = rqft_fast(QSignal(grp, qconj(F.values)), axes)
+    return QSignal(grp, qconj(out.values) * grp.dual_weight)
+
+
+# The transform registry: every kind x direction x mode resolves here.  The
+# CLI, bench and verify read these tables at call time and keep no copies.
 FORWARD_DIRECT = {
     TransformKind.RIGHT: rqft_direct,
     TransformKind.LEFT: lqft_direct,
@@ -269,10 +290,12 @@ FORWARD_FAST = {
 }
 INVERSE_DIRECT = {
     TransformKind.RIGHT: irqft_direct,
+    TransformKind.LEFT: ilqft_direct,
     TransformKind.TWO_SIDED: isqft_direct,
 }
 INVERSE_FAST = {
     TransformKind.RIGHT: irqft_fast,
+    TransformKind.LEFT: ilqft_fast,
     TransformKind.TWO_SIDED: isqft_fast,
 }
 

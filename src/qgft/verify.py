@@ -18,18 +18,19 @@ import numpy as np
 from . import kernels as kmod
 from .group import FiniteAbelianGroup, character_table
 from .qft import (
+    FORWARD_DIRECT,
+    FORWARD_FAST,
+    INVERSE_DIRECT,
+    INVERSE_FAST,
+    TransformKind,
     classical_dft_via_rqft,
     irqft_direct,
-    irqft_fast,
     isqft_direct,
-    isqft_fast,
     lqft_direct,
-    lqft_fast,
     multiplication_pairing,
     rqft_direct,
     rqft_fast,
     sqft_direct,
-    sqft_fast,
 )
 from .quat import DEFAULT_AXES, Quaternion, qabs, random_axis_pair
 from .signal import (
@@ -432,19 +433,17 @@ def run_verification(
     h.run("multiplication-formula", "default", 1e-9, multiplication_formula)
 
     # --- fast against direct ---------------------------------------------------
-    fast_pairs = [
-        ("fast-direct-rqft", rqft_fast, rqft_direct, random_signal),
-        ("fast-direct-sqft", sqft_fast, sqft_direct, random_signal),
-        ("fast-direct-lqft", lqft_fast, lqft_direct, random_signal),
-        ("fast-direct-irqft", irqft_fast, irqft_direct, random_spectrum),
-        ("fast-direct-isqft", isqft_fast, isqft_direct, random_spectrum),
+    directions = [
+        ("", FORWARD_FAST, FORWARD_DIRECT, random_signal),
+        ("i", INVERSE_FAST, INVERSE_DIRECT, random_spectrum),
     ]
-    for name, fast, direct, make in fast_pairs:
-        def agree(_, fast=fast, direct=direct, make=make):
-            x = make(g, rng)
-            return _rel(lp_norm(fast(x) - direct(x), 2), lp_norm(x, 2))
+    for prefix, fast_table, direct_table, make in directions:
+        for kind in TransformKind:
+            def agree(_, kind=kind, fast=fast_table, direct=direct_table, make=make):
+                x = make(g, rng)
+                return _rel(lp_norm(fast[kind](x) - direct[kind](x), 2), lp_norm(x, 2))
 
-        h.run(name, "default", 1e-9, agree)
+            h.run(f"fast-direct-{prefix}{kind.value}", "default", 1e-9, agree)
 
     def fast_random_axes(_):
         axes = random_axis_pair(rng)

@@ -24,13 +24,14 @@ def test_transform_inverse_round_trip(rng, tmp_path, z8):
     f = random_signal(z8, rng)
     src = tmp_path / "f.qsig"
     write_qsig(str(src), f)
-    for kind in ("rqft", "sqft"):
-        spec = tmp_path / "F.qsig"
-        back = tmp_path / "g.qsig"
-        assert run("transform", src, spec, "--kind", kind) == 0
-        assert run("inverse", spec, back, "--kind", kind) == 0
-        g = read_qsig(str(back))
-        assert lp_norm(g - f, 2) <= 1e-9 * lp_norm(f, 2)
+    for kind in ("rqft", "sqft", "lqft"):
+        for mode in ("fast", "direct"):
+            spec = tmp_path / "F.qsig"
+            back = tmp_path / "g.qsig"
+            assert run("transform", src, spec, "--kind", kind, "--mode", mode) == 0
+            assert run("inverse", spec, back, "--kind", kind, "--mode", mode) == 0
+            g = read_qsig(str(back))
+            assert lp_norm(g - f, 2) <= 1e-9 * lp_norm(f, 2)
 
 
 def test_transform_modes_agree(rng, tmp_path, z3x4):
@@ -95,6 +96,19 @@ def test_side_and_format_errors(rng, tmp_path, z4, capsys):
     assert "length" in capsys.readouterr().err
     assert run("transform", tmp_path / "missing.qsig", out) == 2
     assert not out.exists()
+
+
+def test_directory_paths_exit_2(rng, tmp_path, z4, capsys):
+    src = tmp_path / "s.qsig"
+    write_qsig(str(src), random_signal(z4, rng))
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    assert run("transform", src, f"{outdir}/") == 2        # output is a directory
+    assert run("transform", outdir, tmp_path / "o.qsig") == 2  # input is a directory
+    err = capsys.readouterr().err
+    assert err.count("qgft: error:") == 2 and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+    assert not (tmp_path / "o.qsig").exists()
 
 
 def write_and_trim(sig):

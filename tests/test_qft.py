@@ -13,6 +13,8 @@ from qgft import (
     character_value,
     classical_dft_via_rqft,
     dft_1d_complex,
+    ilqft_direct,
+    ilqft_fast,
     inner_q,
     inner_real,
     irqft_direct,
@@ -213,7 +215,7 @@ def test_degenerate_single_point_group(rng):
     for fwd in (rqft_direct, sqft_direct, lqft_direct, rqft_fast, sqft_fast, lqft_fast):
         assert np.allclose(fwd(f).values, f.values, atol=1e-15)
     F = random_spectrum(z1, rng)
-    for inv in (irqft_direct, isqft_direct, irqft_fast, isqft_fast):
+    for inv in (irqft_direct, isqft_direct, ilqft_direct, irqft_fast, isqft_fast, ilqft_fast):
         assert np.allclose(inv(F).values, F.values, atol=1e-15)
 
 
@@ -247,6 +249,7 @@ def test_fast_matches_direct(rng, mods):
         (lqft_fast, lqft_direct, f),
         (irqft_fast, irqft_direct, F),
         (isqft_fast, isqft_direct, F),
+        (ilqft_fast, ilqft_direct, F),
     ]
     for fast, direct, x in pairs:
         assert lp_norm(fast(x) - direct(x), 2) <= 1e-9 * lp_norm(x, 2)
@@ -267,6 +270,7 @@ def test_fast_with_random_axes(rng, z8):
     F = random_spectrum(z8, rng)
     assert lp_norm(rqft_fast(f, axes) - rqft_direct(f, axes), 2) <= 1e-9 * lp_norm(f, 2)
     assert lp_norm(isqft_fast(F, axes) - isqft_direct(F, axes), 2) <= 1e-9 * lp_norm(F, 2)
+    assert lp_norm(ilqft_fast(F, axes) - ilqft_direct(F, axes), 2) <= 1e-9 * lp_norm(F, 2)
 
 
 # --- 1-d complex DFT kernel ----------------------------------------------------
@@ -365,8 +369,10 @@ def test_transform_selection_bundle(rng, z8):
     assert lp_norm(F - sqft_fast(f, axes), 2) == 0.0
     assert lp_norm(sel.inverse(F) - f, 2) <= 1e-12 * lp_norm(f, 2)
     assert lp_norm(sel.forward(f, fast=False) - sqft_direct(f, axes), 2) == 0.0
-    with pytest.raises(ValueError, match="no inverse"):
-        TransformSelection(TransformKind.LEFT).inverse(F)
+    left = TransformSelection(TransformKind.LEFT, axes)
+    for fast in (True, False):
+        back = left.inverse(left.forward(f, fast=fast), fast=fast)
+        assert lp_norm(back - f, 2) <= 1e-12 * lp_norm(f, 2)
 
 
 def test_classical_quaternion_input(rng, z8):
