@@ -24,14 +24,14 @@ coordinates for product groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .group import DualElement, FiniteAbelianGroup
 from .quat import DEFAULT_AXES, AxisPair, qabs2
-from .signal import QSignal, convolve, lp_norm, reflect_conj
+from .signal import QSignal, _grid_fft, convolve, lp_norm, reflect_conj
 from .qft import rqft_direct
 
 __all__ = [
@@ -57,14 +57,11 @@ class KernelFamily:
     """A named pair of level-indexed spectral envelopes.
 
     ``phi1`` and ``phi2`` map (level, frequency) to a real in [0, 1].
-    Spatial kernels are cached per (level, group); entries are immutable
-    once built, so the cache is safe under concurrent readers.
     """
 
     name: str
     phi1: Callable[[int, DualElement], float]
     phi2: Callable[[int, DualElement], float]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def envelope(self, which: int, level: int, group: FiniteAbelianGroup) -> np.ndarray:
         """Envelope values over the canonical dual enumeration."""
@@ -105,41 +102,43 @@ class SpatialKernel:
     values: QSignal
 
 
+def _envelopes(family: KernelFamily, level: int, group: FiniteAbelianGroup):
+    """Both envelopes at ``level``, checked symmetric under u -> -u."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    envs = (family.envelope(1, level, group), family.envelope(2, level, group))
+    for env in envs:
+        if np.abs(env - env[group.neg_perm]).max() > 1e-9 * (1.0 + np.abs(env).max()):
+            raise ValueError(
+                f"family {family.name!r} is not symmetric under frequency "
+                "negation at this level; its spatial kernel is not real"
+            )
+    return envs
+
+
 def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) -> SpatialKernel:
     """Spatial kernel of ``family`` at ``level`` on G x G.
 
     Requires envelopes symmetric under u -> -u (true of the built-ins);
     otherwise the defining sums are not real and construction fails.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    key = (level, group)
-    cached = family._cache.get(key)
-    if cached is not None:
-        return cached
+    rows = [np.fft.ifftn(env.reshape(group.moduli)).real.ravel()
+            for env in _envelopes(family, level, group)]
     n = group.order
-    phases = np.exp(1j * group.angle_table)  # phases[u, x]
-    rows = []
-    for which in (1, 2):
-        env = family.envelope(which, level, group)
-        row = env @ phases / n
-        if np.abs(row.imag).max() > 1e-9 * (1.0 + np.abs(row.real).max()):
-            raise ValueError(
-                f"family {family.name!r} is not symmetric under frequency "
-                "negation at this level; its spatial kernel is not real"
-            )
-        rows.append(row.real)
     vals = np.zeros((n, n, 4))
     vals[..., 0] = np.outer(rows[0], rows[1])
-    kern = SpatialKernel(level=level, values=QSignal(group, vals))
-    family._cache[key] = kern
-    return kern
+    return SpatialKernel(level=level, values=QSignal(group, vals))
 
 
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
-    """Convolve f with the family's level-``level`` spatial kernel (f first)."""
-    kern = spatial_kernel(family, level, f.group)
-    return convolve(f, kern.values)
+    """Convolve f with the family's level-``level`` spatial kernel (f first).
+
+    The kernel is real, scalar and separable, so this is the spectral multiply
+    ``ifftn(fftn(f) * phi1(u) * phi2(v))`` componentwise: O(|G|^2 log |G|).
+    """
+    env1, env2 = _envelopes(family, level, f.group)
+    spec = _grid_fft(f.values, f.group) * np.outer(env1, env2)[..., None]
+    return QSignal(f.group, _grid_fft(spec, f.group, np.fft.ifftn).real)
 
 
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
@@ -167,13 +166,10 @@ def energy_identity(
     full passband both reduce to ||f||_2^2.
     """
     grp = f.group
-    kern = spatial_kernel(family, level, grp)
-    auto = convolve(reflect_conj(f), f)
-    lhs = float(convolve(auto, kern.values).values[0, 0, 0])
+    lhs = float(smooth(convolve(reflect_conj(f), f), family, level).values[0, 0, 0])
 
     F = rqft_direct(f, axes)
-    env1 = family.envelope(1, level, grp)
-    env2 = family.envelope(2, level, grp)
+    env1, env2 = _envelopes(family, level, grp)
     rhs = float(
         (env1[:, None] * env2[None, :] * qabs2(F.values)).sum() * grp.dual_weight
     )

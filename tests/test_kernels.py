@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qgft import (
+    BUILTIN_FAMILIES,
     FiniteAbelianGroup,
+    KernelFamily,
     QSignal,
     Quaternion,
     builtin_family,
@@ -16,6 +18,7 @@ from qgft import (
     smooth,
     spatial_kernel,
 )
+from test_signal import _convolve_direct
 
 FULL_LEVEL_Z8 = 4  # max circular distance on Z_8
 
@@ -96,9 +99,32 @@ def test_total_mass_is_one(z8, z3x4):
                 assert kern.values.values[..., 0].sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_spatial_kernel_rejects_bad_level(z8):
+def test_spatial_kernel_rejects_bad_level(rng, z8):
     with pytest.raises(ValueError, match="level"):
         spatial_kernel(builtin_family("fejer"), -1, z8)
+    with pytest.raises(ValueError, match="level"):
+        smooth(random_signal(z8, rng), builtin_family("fejer"), -1)
+
+
+def test_asymmetric_family_rejected(rng, z8):
+    # phi1(u) != phi1(-u) at u = 1: the spatial kernel would not be real
+    skew = KernelFamily("skew", lambda l, u: float(u.coords[0] <= 1),
+                        builtin_family("fejer").phi2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        smooth(random_signal(z8, rng), skew, 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        spatial_kernel(skew, 1, z8)
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+def test_smooth_matches_direct_convolution(rng, z8, z3x4, name):
+    fam = builtin_family(name)
+    for g in (z8, z3x4):
+        f = random_signal(g, rng)
+        for level in range(6):
+            want = _convolve_direct(f, spatial_kernel(fam, level, g).values)
+            err = np.abs(smooth(f, fam, level).values - want).max()
+            assert err <= 1e-12 * np.abs(f.values).max()
 
 
 def test_smooth_identity_cases(rng, z8):

@@ -22,6 +22,19 @@ from qgft import (
     transform_beta,
     translate,
 )
+from qgft.quat import qmul
+
+
+def _convolve_direct(f, g):
+    """The defining sum (f * g)(x) = sum_y f(y) * g(x - y), f first; O(|G|^4)."""
+    n = f.group.order
+    sub = f.group.difference_table
+    out = np.empty_like(f.values)
+    for i1 in range(n):
+        for i2 in range(n):
+            shifted = g.values[sub[i1][:, None], sub[i2][None, :]]
+            out[i1, i2] = qmul(f.values, shifted).sum(axis=(0, 1))
+    return out * f.weight
 
 
 def test_constructor_validation(z4):
@@ -112,6 +125,17 @@ def test_reflect_conj(z4, rng):
 def test_convolve_delta_unit(rng, z8):
     f = random_signal(z8, rng)
     assert np.allclose(convolve(f, QSignal.delta(z8)).values, f.values, atol=1e-15)
+
+
+@pytest.mark.parametrize("moduli", [(1,), (5,), (8,), (3, 4), (2, 2, 3)])
+def test_convolve_matches_defining_sum(rng, moduli):
+    g = FiniteAbelianGroup(moduli)
+    f, h = random_signal(g, rng), random_signal(g, rng)
+    # the factors do not commute, so checking both orders pins f-first
+    assert not np.allclose(convolve(f, h).values, convolve(h, f).values)
+    for a, b in ((f, h), (h, f)):
+        want = _convolve_direct(a, b)
+        assert np.abs(convolve(a, b).values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_convolve_two_point_masses(rng, z3x4):
