@@ -46,7 +46,6 @@ from .qft import (
     TransformKind,
     TransformSelection,
     classical_dft_via_rqft,
-    dft_1d_complex,
     ilqft_direct,
     ilqft_fast,
     irqft_direct,

@@ -100,13 +100,9 @@ def cmd_inverse(args) -> int:
 
 def cmd_smooth(args) -> int:
     f = _load_primal(args.input)
-    try:
-        family = builtin_family(args.family)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     if args.level < 0:
         raise CliError("--level must be >= 0")
-    out = smooth(f, family, args.level)
+    out = smooth(f, builtin_family(args.family), args.level)
     write_qsig(args.output, out)
     print(f"delta_l2 = {lp_norm(out - f, 2):.6e}", file=sys.stderr)
     return 0
@@ -173,6 +169,8 @@ DIRECT_BENCH_LIMIT = 48  # direct evaluators are O(N^3) per stage; cap them
 def cmd_bench(args) -> int:
     kind = TransformKind(args.kind)
     fast_fn, direct_fn = FORWARD_FAST[kind], FORWARD_DIRECT[kind]
+    if args.repeats < 1:
+        raise CliError("--repeats must be >= 1")
     rng = np.random.default_rng(args.seed)
     print(f"{'N':>5} {'bins':>8} {'fast [s]':>10} {'direct [s]':>11} {'speedup':>8}")
     ok = True

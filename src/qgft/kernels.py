@@ -122,11 +122,10 @@ def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) 
     Requires envelopes symmetric under u -> -u (true of the built-ins);
     otherwise the defining sums are not real and construction fails.
     """
-    rows = [np.fft.ifftn(env.reshape(group.moduli)).real.ravel()
-            for env in _envelopes(family, level, group)]
+    env1, env2 = _envelopes(family, level, group)
     n = group.order
     vals = np.zeros((n, n, 4))
-    vals[..., 0] = np.outer(rows[0], rows[1])
+    vals[..., 0] = _grid_fft(np.outer(env1, env2), group, np.fft.ifftn).real
     return SpatialKernel(level=level, values=QSignal(group, vals))
 
 

@@ -199,13 +199,16 @@ def reflect_conj(f: QSignal) -> QSignal:
 
 
 def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, fft=np.fft.fftn) -> np.ndarray:
-    """Componentwise ``fft`` of an ``(n, n, 4)`` payload over G x G.
+    """``fft`` over G x G of an ``(n, n, ...)`` array, trailing axes batched.
 
     The canonical index is row-major with the last coordinate fastest, so
-    reshaping to ``moduli * 2`` gives one axis per cyclic factor.
+    reshaping to ``moduli * 2`` gives one axis per cyclic factor.  Every FFT
+    in the library goes through here: ``(n, n, 4)`` payloads componentwise
+    and ``(n, n)`` complex planes alike.
     """
     axes = tuple(range(2 * group.rank))
-    return fft(values.reshape(group.moduli * 2 + (4,)), axes=axes).reshape(values.shape)
+    shape = group.moduli * 2 + values.shape[2:]
+    return fft(values.reshape(shape), axes=axes).reshape(values.shape)
 
 
 def convolve(f: QSignal, g: QSignal) -> QSignal:

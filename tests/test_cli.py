@@ -277,6 +277,10 @@ def test_bench(capsys):
     out = capsys.readouterr().out
     assert "speedup" in out
     assert len(out.strip().splitlines()) == 3
+    for repeats in (0, -1):
+        assert run("bench", "--sizes", 4, "--repeats", repeats) == 2
+        err = capsys.readouterr().err
+        assert "--repeats must be >= 1" in err and "Traceback" not in err
 
 
 def test_dump(rng, tmp_path, capsys, z3x4):

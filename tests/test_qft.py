@@ -12,7 +12,6 @@ from qgft import (
     Quaternion,
     character_value,
     classical_dft_via_rqft,
-    dft_1d_complex,
     ilqft_direct,
     ilqft_fast,
     inner_q,
@@ -251,8 +250,9 @@ def test_fast_matches_direct(rng, mods):
         (isqft_fast, isqft_direct, F),
         (ilqft_fast, ilqft_direct, F),
     ]
-    for fast, direct, x in pairs:
-        assert lp_norm(fast(x) - direct(x), 2) <= 1e-9 * lp_norm(x, 2)
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        for fast, direct, x in pairs:
+            assert lp_norm(fast(x, axes) - direct(x, axes), 2) <= 1e-9 * lp_norm(x, 2)
 
 
 def test_fast_reproduces_trivial_cases(z8):
@@ -271,35 +271,6 @@ def test_fast_with_random_axes(rng, z8):
     assert lp_norm(rqft_fast(f, axes) - rqft_direct(f, axes), 2) <= 1e-9 * lp_norm(f, 2)
     assert lp_norm(isqft_fast(F, axes) - isqft_direct(F, axes), 2) <= 1e-9 * lp_norm(F, 2)
     assert lp_norm(ilqft_fast(F, axes) - ilqft_direct(F, axes), 2) <= 1e-9 * lp_norm(F, 2)
-
-
-# --- 1-d complex DFT kernel ----------------------------------------------------
-
-
-def quadratic_dft(z, sign=-1):
-    n = len(z)
-    return np.array(
-        [sum(z[x] * np.exp(sign * 2j * np.pi * u * x / n) for x in range(n))
-         for u in range(n)]
-    )
-
-
-def test_dft_1d_basics():
-    assert np.allclose(dft_1d_complex(np.array([3.5 + 1j])), [3.5 + 1j])
-    delta = np.array([1.0, 0, 0, 0], dtype=complex)
-    assert np.allclose(dft_1d_complex(delta), np.ones(4), atol=1e-15)
-    with pytest.raises(ValueError, match="sign"):
-        dft_1d_complex(delta, sign=2)
-    with pytest.raises(ValueError):
-        dft_1d_complex(np.zeros((0,), dtype=complex))
-
-
-@pytest.mark.parametrize("n", [8, 7, 12])
-def test_dft_1d_matches_quadratic_oracle(rng, n):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for sign in (-1, +1):
-        got = dft_1d_complex(z, sign)
-        assert np.abs(got - quadratic_dft(z, sign)).max() <= 1e-12 * max(1.0, np.abs(z).sum())
 
 
 # --- multiplication pairing -----------------------------------------------------
@@ -339,6 +310,13 @@ def test_pairing_quaternion_valued_and_order_arbitration(rng, z8):
 # --- classical embedding ---------------------------------------------------------
 
 
+def quadratic_dft(z):
+    n = len(z)
+    return np.array(
+        [sum(z[x] * np.exp(-2j * np.pi * u * x / n) for x in range(n)) for u in range(n)]
+    )
+
+
 def test_classical_delta(z4):
     got = classical_dft_via_rqft(np.array([1, 0, 0, 0], dtype=complex), z4)
     assert np.allclose(got, np.ones(4), atol=1e-13)
@@ -356,7 +334,6 @@ def test_classical_matches_oracle(rng, n):
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = classical_dft_via_rqft(z, g)
     assert np.abs(got - quadratic_dft(z)).max() <= 1e-10 * max(1.0, np.abs(z).sum())
-    assert np.abs(got - dft_1d_complex(z)).max() <= 1e-10 * max(1.0, np.abs(z).sum())
 
 
 def test_transform_selection_bundle(rng, z8):
