@@ -112,6 +112,8 @@ def cmd_verify(args) -> int:
     group = parse_group_spec(args.group)
     if args.trials < 0:
         raise CliError("--trials must be >= 0")
+    if args.tol is not None and not args.tol >= 0:
+        raise CliError("--tol must be a number >= 0")
     report = run_verification(
         group,
         trials=args.trials,

@@ -24,6 +24,7 @@ coordinates for product groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,7 +91,7 @@ def builtin_family(name: str) -> KernelFamily:
     if name == "fejer":
         return _distance_family(name, lambda l, d: max(0.0, 1.0 - d / (l + 1)))
     if name == "poisson_geometric":
-        return _distance_family(name, lambda l, d: float(np.exp(-d / 2.0**l)))
+        return _distance_family(name, lambda l, d: float(np.exp(-math.ldexp(d, -l))))
     raise ValueError(f"unknown kernel family {name!r}; choose from {BUILTIN_FAMILIES}")
 
 

@@ -25,11 +25,21 @@ Conventions (fixed; every identity below depends on them):
 
 The ``*_direct`` evaluators compute the defining sums with quaternion
 products against tabulated characters; they are the oracles.  The ``*_fast``
-evaluators factor each transform through the symplectic split f = z1 + z2*mu2
-(z1, z2 valued in the commutative plane span{1, mu1}), two full-grid complex
-FFTs (Pei-Ding-Chang, Ell-Sangwine) and one cos/sin recombination butterfly
-along the second axis shared by forward and inverse, with a frequency
-negation of the first axis on the z2 part, for an O(|G|^2 log |G|) total.
+evaluators, which match them to 1e-9 relative in the 2-norm, share one core
+(Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
+span{1, mu1}, two full-grid complex FFTs, one cos/sin butterfly along the
+second axis and a first-axis frequency negation ("flip") of the z2 part,
+O(|G|^2 log |G|) in total.  Each kind is three choices (``sqft_fast`` alone
+still runs the equivalent chain rqft_fast(W f) instead of its row):
+
+  kind   FFT    split            z2 flip
+  rqft   fftn   f = z1 + z2*mu2  before the butterfly
+  sqft   fftn   f = z1 + z2*mu2  none (it cancels against W)
+  lqft   fftn   f = z1 + mu2*z2  after
+  irqft  ifftn  f = z1 + z2*mu2  after
+  isqft  ifftn  f = z1 + z2*mu2  none
+  ilqft  ifftn  f = z1 + mu2*z2  before
+
 Both paths handle arbitrary axis pairs; the fast path maps a general frame
 onto the standard one through the algebra isomorphism of the frame change,
 while the direct path evaluates general-axis characters as defined.
@@ -166,14 +176,6 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # fast paths
 
 
-def _split(values: np.ndarray):
-    return values[..., 0] + 1j * values[..., 1], values[..., 2] + 1j * values[..., 3]
-
-
-def _join(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
-
-
 def _butterfly(a: np.ndarray, b: np.ndarray, neg: np.ndarray):
     """The cos/sin recombination along the second axis, shared by both
     directions: splits each column pair (v, -v) into the z1 and z2 parts."""
@@ -181,25 +183,31 @@ def _butterfly(a: np.ndarray, b: np.ndarray, neg: np.ndarray):
     return 0.5 * (a + an) + 0.5j * (b - bn), 0.5j * (an - a) + 0.5 * (b + bn)
 
 
+def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
+    """The one fast evaluator, given a kind's row of the module table.  The
+    left split's z2 is the conjugate of the right split's, so its mu3 part
+    changes sign on the way in and out; ``ifftn`` normalises by 1/|G|^2."""
+    assert flip in ("before", "after", None), flip
+    grp, neg, v = x.group, x.group.neg_perm, axes.to_frame(x.values)
+    a = _grid_fft(v[..., 0] + 1j * v[..., 1], grp, fft)
+    b = _grid_fft(v[..., 2] + (-1j if left else 1j) * v[..., 3], grp, fft)
+    if flip == "before":
+        b = b[neg]
+    f1, f2 = _butterfly(a, b, neg)
+    if flip == "after":
+        f2 = f2[neg]
+    d = -f2.imag if left else f2.imag
+    return axes.from_frame(np.stack([f1.real, f1.imag, f2.real, d], axis=-1))
+
+
 def rqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
-    """FFT-factorized right-sided transform; contract: matches
-    :func:`rqft_direct` to 1e-9 relative in the 2-norm.  The row gather on
-    the z2 grid is the frequency negation of the first axis."""
-    grp, neg = f.group, f.group.neg_perm
-    z1, z2 = _split(axes.to_frame(f.values))
-    f1, f2 = _butterfly(_grid_fft(z1, grp), _grid_fft(z2, grp)[neg], neg)
-    return QSpectrum(grp, axes.from_frame(_join(f1, f2)))
+    """Right-sided transform: fftn, right split, z2 flip before."""
+    return QSpectrum(f.group, _fast_qft(f, axes, np.fft.fftn, False, "before"))
 
 
 def irqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """FFT-factorized inverse of the right-sided transform.  The ``ifftn``
-    normalisation is exactly the dual weight 1/|G|^2, and the first-axis DFT
-    commutes with the second-axis butterfly, so the butterfly runs last."""
-    grp, neg = F.group, F.group.neg_perm
-    z1, z2 = _split(axes.to_frame(F.values))
-    a, b = _grid_fft(z1, grp, np.fft.ifftn), _grid_fft(z2, grp, np.fft.ifftn)
-    f1, f2 = _butterfly(a, b, neg)
-    return QSignal(grp, axes.from_frame(_join(f1, f2[neg])))
+    """Inverse right-sided transform: ifftn, right split, z2 flip after."""
+    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, False, "after"))
 
 
 def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
@@ -208,29 +216,18 @@ def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
 
 
 def isqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """Inverse two-sided transform as reflection of the right-sided inverse."""
-    return transform_W(irqft_fast(F, axes), axes)
+    """Inverse two-sided transform W irqft(F): ifftn, right split, no z2 flip."""
+    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, False, None))
 
 
 def lqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
-    """Left-sided transform via conjugation symmetry.
-
-    Conjugating the defining sum reverses every product, which turns the
-    left-sided forward kernel into the right-sided inverse kernel:
-    lqft(f) = |G|^2 * conj(irqft(conj(f))).
-    """
-    grp = f.group
-    as_spectrum = QSpectrum(grp, qconj(f.values))
-    out = irqft_fast(as_spectrum, axes)
-    return QSpectrum(grp, qconj(out.values) * float(grp.order) ** 2)
+    """Left-sided |G|^2 conj(irqft(conj f)): fftn, left split, z2 flip after."""
+    return QSpectrum(f.group, _fast_qft(f, axes, np.fft.fftn, True, "after"))
 
 
 def ilqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """Inverse left-sided transform by the same conjugation symmetry:
-    ilqft(F) = conj(rqft(conj(F))) / |G|^2."""
-    grp = F.group
-    out = rqft_fast(QSignal(grp, qconj(F.values)), axes)
-    return QSignal(grp, qconj(out.values) * grp.dual_weight)
+    """Inverse left-sided conj(rqft(conj F))/|G|^2: ifftn, left split, before."""
+    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, True, "before"))
 
 
 # The transform registry: every kind x direction x mode resolves here.  The

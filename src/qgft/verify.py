@@ -480,7 +480,6 @@ def run_verification(
 
     def envelope_monotone(_):
         worst = 0.0
-        els = g.elements()
         for fam in families:
             for l in range(7):
                 lo = fam.envelope(1, l, g)

@@ -193,6 +193,21 @@ def test_verify_tol_override(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_bad_tol(capsys):
+    for tol in ("-1", "nan"):
+        assert run("verify", "--group", "4", "--trials", "1", "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert "qgft: error: --tol" in captured.err and "FAIL" not in captured.out
+
+
+def test_smooth_poisson_geometric_huge_level(rng, tmp_path, z4):
+    f = random_signal(z4, rng)
+    src, out = tmp_path / "f.qsig", tmp_path / "o.qsig"
+    write_qsig(str(src), f)
+    assert run("smooth", src, out, "--family", "poisson_geometric", "--level", 2000) == 0
+    assert lp_norm(read_qsig(str(out)) - f, 2) <= 1e-12 * lp_norm(f, 2)
+
+
 def test_verify_bad_group():
     assert run("verify", "--group", "8y3", "--trials", "1") == 2
 

@@ -57,6 +57,14 @@ def test_envelope_monotone_in_level(z8):
             assert lo.min() >= 0.0 and hi.max() <= 1.0
 
 
+def test_poisson_geometric_huge_level(z8, z3x4):
+    # 2**level overflows a float from level 1024 on; the envelope is then 1
+    fam = builtin_family("poisson_geometric")
+    for g in (z8, z3x4):
+        for level in (1023, 1024, 2000):
+            assert (fam.envelope(1, level, g) == 1.0).all()
+
+
 def test_dirichlet_full_band_is_delta(z8):
     kern = spatial_kernel(builtin_family("dirichlet"), FULL_LEVEL_Z8, z8)
     want = QSignal.delta(z8).values

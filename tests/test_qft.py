@@ -273,6 +273,26 @@ def test_fast_with_random_axes(rng, z8):
     assert lp_norm(ilqft_fast(F, axes) - ilqft_direct(F, axes), 2) <= 1e-9 * lp_norm(F, 2)
 
 
+@pytest.mark.parametrize("mods", [(64,), (7, 9)])
+def test_fast_relations(rng, mods):
+    # the paper's relations between the kinds on the fast path alone, at
+    # 1e-12 and on groups beyond the Z_32 of the oracle comparisons
+    g = FiniteAbelianGroup(mods)
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    f_as_spectrum, F_as_signal = QSpectrum(g, f.values), QSignal(g, F.values)
+    s = float(g.order) ** 2
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        pairs = [
+            (sqft_fast(f, axes), rqft_fast(transform_W(f, axes), axes)),
+            (isqft_fast(F, axes), transform_W(irqft_fast(F, axes), axes)),
+            (lqft_fast(f, axes), s * irqft_fast(f_as_spectrum.conj(), axes).conj()),
+            (ilqft_fast(F, axes), rqft_fast(F_as_signal.conj(), axes).conj() * (1 / s)),
+        ]
+        for got, want in pairs:
+            gap = np.linalg.norm(got.values - want.values)
+            assert gap <= 1e-12 * np.linalg.norm(want.values)
+
+
 # --- multiplication pairing -----------------------------------------------------
 
 
