@@ -18,6 +18,7 @@ so a failed command never leaves a partial output behind.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -25,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .group import FiniteAbelianGroup
-from .signal import QSignal, QSpectrum
+from .signal import QSignal, QSpectrum, _NonFiniteError
 
 __all__ = [
     "QsigFormatError",
@@ -102,8 +103,15 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
     moduli = struct.unpack_from(f"<{rank}I", data, off)
     if any(n < 1 for n in moduli):
         raise QsigFormatError(f"bad moduli {moduli}")
+    # bound the order by the bytes present before it is formatted or used:
+    # 255 moduli of 2**32 - 1 give an order with thousands of digits
+    n = math.prod(moduli)
+    if n > len(data):
+        raise QsigFormatError(
+            f"payload too short: a group of order above {len(data)} needs more "
+            f"than the {len(data) - need} payload bytes present"
+        )
     group = FiniteAbelianGroup(moduli)
-    n = group.order
     expected = need + n * n * 4 * 8
     if len(data) != expected:
         raise QsigFormatError(
@@ -114,7 +122,7 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
     cls = QSpectrum if side == SIDE_DUAL else QSignal
     try:
         return cls(group, payload)  # the grid constructor copies
-    except ValueError as exc:  # non-finite payload
+    except _NonFiniteError as exc:
         raise QsigFormatError(str(exc)) from exc
 
 

@@ -27,15 +27,15 @@ The ``*_direct`` evaluators compute the defining sums with quaternion
 products against tabulated characters; they are the oracles.  The ``*_fast``
 evaluators, which match them to 1e-9 relative in the 2-norm, share one core
 (Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
-span{1, mu1}, two full-grid complex FFTs, one cos/sin butterfly along the
-second axis and a first-axis frequency negation ("flip") of the z2 part,
+span{1, mu1}, two in-place full-grid FFTs of z1 +/- mu1*z2 and one add/sub
+pass, with a first-axis frequency negation ("flip") of the z2 part,
 O(|G|^2 log |G|) in total.  Each kind is three choices (``sqft_fast`` alone
 still runs the equivalent chain rqft_fast(W f) instead of its row):
 
   kind   FFT    split            z2 flip
-  rqft   fftn   f = z1 + z2*mu2  before the butterfly
+  rqft   fftn   f = z1 + z2*mu2  before the FFTs
   sqft   fftn   f = z1 + z2*mu2  none (it cancels against W)
-  lqft   fftn   f = z1 + mu2*z2  after
+  lqft   fftn   f = z1 + mu2*z2  after the add/sub pass
   irqft  ifftn  f = z1 + z2*mu2  after
   isqft  ifftn  f = z1 + z2*mu2  none
   ilqft  ifftn  f = z1 + mu2*z2  before
@@ -176,38 +176,52 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # fast paths
 
 
-def _butterfly(a: np.ndarray, b: np.ndarray, neg: np.ndarray):
-    """The cos/sin recombination along the second axis, shared by both
-    directions: splits each column pair (v, -v) into the z1 and z2 parts."""
-    an, bn = a[:, neg], b[:, neg]
-    return 0.5 * (a + an) + 0.5j * (b - bn), 0.5j * (an - a) + 0.5 * (b + bn)
-
-
 def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
-    """The one fast evaluator, given a kind's row of the module table.  The
-    left split's z2 is the conjugate of the right split's, so its mu3 part
-    changes sign on the way in and out; ``ifftn`` normalises by 1/|G|^2."""
+    """The one fast evaluator, given a kind's row of the module table.
+
+    With z2 already flipped if the row says "before", c = FFT(z1 + mu1 z2)
+    and e(u, v) = FFT(z1 - mu1 z2)(u, -v) give the output planes
+    f1 = (c + e)/2 and f2 = -mu1 (c - e)/2.  Both planes live in the
+    result from the start: the frame components (0, 1) and (2, 3) of each
+    bin, viewed as complex.  The left split's z2 is the conjugate of the
+    right split's, so its mu3 part changes sign on the way in and out;
+    ``ifftn`` normalises by 1/|G|^2.
+    """
     assert flip in ("before", "after", None), flip
     grp, neg, v = x.group, x.group.neg_perm, axes.to_frame(x.values)
-    a = _grid_fft(v[..., 0] + 1j * v[..., 1], grp, fft)
-    b = _grid_fft(v[..., 2] + (-1j if left else 1j) * v[..., 3], grp, fft)
-    if flip == "before":
-        b = b[neg]
-    f1, f2 = _butterfly(a, b, neg)
+    # mu1 z2 = -v3 + mu1 v2 for the right split, +v3 + mu1 v2 for the left
+    # one; op_c and op_e put v3 into the real parts of z1 + mu1 z2, z1 - mu1 z2
+    v2, v3 = (v[neg, :, 2], v[neg, :, 3]) if flip == "before" else (v[..., 2], v[..., 3])
+    op_c, op_e = (np.add, np.subtract) if left else (np.subtract, np.add)
+    out = np.empty(v.shape)
+    op_c(v[..., 0], v3, out=out[..., 0])
+    np.add(v[..., 1], v2, out=out[..., 1])
+    op_e(v[..., 0], v3, out=out[..., 2])
+    np.subtract(v[..., 1], v2, out=out[..., 3])
+    planes = out.view(np.complex128)
+    f1, f2 = planes[..., 0], planes[..., 1]
+    _grid_fft(f1, grp, fft, out=f1)
+    _grid_fft(f2, grp, fft, out=f2, mirror=True)
+    # (c, e) -> ((c + e)/2, -mu1 (c - e)/2) in place
+    np.subtract(f1, f2, out=f2)
+    f2 *= 0.5
+    f1 -= f2
+    f2 *= -1j
+    if left:
+        out[..., 3] *= -1
     if flip == "after":
-        f2 = f2[neg]
-    d = -f2.imag if left else f2.imag
-    return axes.from_frame(np.stack([f1.real, f1.imag, f2.real, d], axis=-1))
+        f2[...] = f2[neg]
+    return axes.from_frame(out)
 
 
 def rqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Right-sided transform: fftn, right split, z2 flip before."""
-    return QSpectrum(f.group, _fast_qft(f, axes, np.fft.fftn, False, "before"))
+    return QSpectrum._own(f.group, _fast_qft(f, axes, np.fft.fftn, False, "before"))
 
 
 def irqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse right-sided transform: ifftn, right split, z2 flip after."""
-    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, False, "after"))
+    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, False, "after"))
 
 
 def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
@@ -217,17 +231,17 @@ def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
 
 def isqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse two-sided transform W irqft(F): ifftn, right split, no z2 flip."""
-    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, False, None))
+    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, False, None))
 
 
 def lqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Left-sided |G|^2 conj(irqft(conj f)): fftn, left split, z2 flip after."""
-    return QSpectrum(f.group, _fast_qft(f, axes, np.fft.fftn, True, "after"))
+    return QSpectrum._own(f.group, _fast_qft(f, axes, np.fft.fftn, True, "after"))
 
 
 def ilqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse left-sided conj(rqft(conj F))/|G|^2: ifftn, left split, before."""
-    return QSignal(F.group, _fast_qft(F, axes, np.fft.ifftn, True, "before"))
+    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, True, "before"))
 
 
 # The transform registry: every kind x direction x mode resolves here.  The

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+class _NonFiniteError(ValueError):
+    """Grid values that are NaN or infinite, for instance an overflowed result."""
+
+
 class _QGrid:
     """Shared machinery for primal signals and dual spectra."""
 
@@ -48,14 +52,24 @@ class _QGrid:
 
     def __init__(self, group: FiniteAbelianGroup, values) -> None:
         # always copy: grids are immutable value objects, never views
-        values = np.array(values, dtype=np.float64, order="C", copy=True)
+        self._adopt(group, np.array(values, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _own(cls, group: FiniteAbelianGroup, values: np.ndarray):
+        """Wrap a fresh float64 C-ordered array that nothing else holds,
+        without the defensive copy; the checks still run."""
+        grid = cls.__new__(cls)
+        grid._adopt(group, values)
+        return grid
+
+    def _adopt(self, group: FiniteAbelianGroup, values: np.ndarray) -> None:
         n = group.order
         if values.shape != (n, n, 4):
             raise ValueError(
                 f"expected values of shape {(n, n, 4)}, got {values.shape}"
             )
         if not np.isfinite(values).all():
-            raise ValueError("signal values must be finite (no NaN/Inf)")
+            raise _NonFiniteError("signal values must be finite (no NaN/Inf)")
         self.group = group
         self.values = values
 
@@ -198,17 +212,33 @@ def reflect_conj(f: QSignal) -> QSignal:
     return type(f)(f.group, qconj(f.values[neg][:, neg]))
 
 
-def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, fft=np.fft.fftn) -> np.ndarray:
+def _grid_fft(
+    values: np.ndarray,
+    group: FiniteAbelianGroup,
+    fft=np.fft.fftn,
+    out=None,
+    mirror: bool = False,
+) -> np.ndarray:
     """``fft`` over G x G of an ``(n, n, ...)`` array, trailing axes batched.
 
     The canonical index is row-major with the last coordinate fastest, so
     reshaping to ``moduli * 2`` gives one axis per cyclic factor.  Every FFT
     in the library goes through here: ``(n, n, 4)`` payloads componentwise
-    and ``(n, n)`` complex planes alike.
+    and ``(n, n)`` complex planes alike.  ``out`` (which may be ``values``
+    itself) receives the result in place.  With ``mirror`` the second
+    frequency comes out negated, X(u, -v): its axes run the opposite
+    direction under the same normalisation, so no gather is needed.
     """
-    axes = tuple(range(2 * group.rank))
+    k = group.rank
     shape = group.moduli * 2 + values.shape[2:]
-    return fft(values.reshape(shape), axes=axes).reshape(values.shape)
+    x = values.reshape(shape)
+    dest = None if out is None else out.reshape(shape, copy=False)
+    if not mirror:
+        return fft(x, axes=tuple(range(2 * k)), out=dest).reshape(values.shape)
+    opposite = np.fft.ifftn if fft is np.fft.fftn else np.fft.fftn
+    x = fft(x, axes=tuple(range(k)), out=dest)
+    x = opposite(x, axes=tuple(range(k, 2 * k)), norm="forward", out=x)
+    return x.reshape(values.shape)
 
 
 def convolve(f: QSignal, g: QSignal) -> QSignal:
@@ -240,7 +270,7 @@ def transform_W(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     out = v.copy()
     out[..., 2] = v[neg, :, 2]
     out[..., 3] = v[neg, :, 3]
-    return QSignal(f.group, axes.from_frame(out))
+    return QSignal._own(f.group, axes.from_frame(out))
 
 
 def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:

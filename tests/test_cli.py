@@ -298,6 +298,39 @@ def test_bench(capsys):
         assert "--repeats must be >= 1" in err and "Traceback" not in err
 
 
+def test_bench_gate_starts_at_its_size_floor(capsys):
+    # a one-bin direct sum can beat the fast path's fixed cost, so the
+    # smallest sizes are timed but not compared
+    assert run("bench", "--sizes", 1, 2, 3, "--repeats", 1) == 0
+    out, err = capsys.readouterr()
+    assert "note:" not in err
+    assert all(line.split()[-2:] == ["-", "-"] for line in out.splitlines()[1:])
+
+
+def test_dump_hostile_header_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.qsig"
+    src.write_bytes(b"QSG1" + bytes([1, 255, 0, 0]) + b"\xff\xff\xff\xff" * 255)
+    assert run("dump", src) == 2
+    err = capsys.readouterr().err
+    assert "qgft: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, side", [
+    (("transform",), "primal"),
+    (("inverse", "--kind", "sqft"), "dual"),
+    (("smooth", "--level", "2"), "primal"),
+], ids=["transform", "inverse", "smooth"])
+def test_overflowing_result_exits_2(tmp_path, capsys, z8, argv, side):
+    # a finite file whose transform or smoothing overflows float64
+    grid = QSpectrum if side == "dual" else QSignal
+    src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
+    write_qsig(str(src), grid(z8, np.full((8, 8, 4), 1e308)))
+    assert run(argv[0], src, out, *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "qgft: error:" in err and "overflow" in err and "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.rglob(".tmp-*"))
+
+
 def test_dump(rng, tmp_path, capsys, z3x4):
     f = random_signal(z3x4, rng)
     src = tmp_path / "f.qsig"

@@ -67,6 +67,15 @@ def test_qsig_reader_rejects_malformed(rng, z4):
         decode_qsig(good[:6])
 
 
+def test_qsig_reader_bounds_hostile_header():
+    # rank 255, every modulus 2**32 - 1 and no payload: the order has
+    # thousands of digits and must be refused before it is formatted
+    header = b"QSG1" + bytes([1, 255, 0, 0]) + b"\xff\xff\xff\xff" * 255
+    assert len(header) == 1028
+    with pytest.raises(QsigFormatError, match="payload too short"):
+        decode_qsig(header)
+
+
 def test_qsig_writer_rejects_non_finite(z4, tmp_path):
     sig = QSignal.zeros(z4)
     sig.values[0, 0, 0] = np.inf

@@ -33,6 +33,7 @@ from qgft import (
     sqft_fast,
     transform_W,
 )
+from qgft.qft import _fast_qft
 
 
 def plane_valued(group, rng, axes=DEFAULT_AXES):
@@ -291,6 +292,34 @@ def test_fast_relations(rng, mods):
         for got, want in pairs:
             gap = np.linalg.norm(got.values - want.values)
             assert gap <= 1e-12 * np.linalg.norm(want.values)
+
+
+@pytest.mark.parametrize("mods", [(1,), (8,), (3, 4)])
+def test_fast_outputs_own_their_memory(rng, mods):
+    g = FiniteAbelianGroup(mods)
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    pairs = [(rqft_fast, f), (sqft_fast, f), (lqft_fast, f),
+             (irqft_fast, F), (isqft_fast, F), (ilqft_fast, F)]
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        for fast, x in pairs:
+            keep = x.values.copy()
+            out = fast(x, axes)
+            assert not np.shares_memory(out.values, x.values)
+            out.values[...] = 7.0
+            assert np.array_equal(x.values, keep)
+
+
+def test_fast_overflow_still_raises(z8):
+    f = QSignal(z8, np.full((8, 8, 4), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            rqft_fast(f)
+
+
+def test_fast_core_rejects_mistyped_flip(rng, z8):
+    f = random_signal(z8, rng)
+    with pytest.raises(AssertionError):
+        _fast_qft(f, DEFAULT_AXES, np.fft.fftn, False, "befor")
 
 
 # --- multiplication pairing -----------------------------------------------------

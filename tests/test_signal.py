@@ -23,6 +23,7 @@ from qgft import (
     translate,
 )
 from qgft.quat import qmul
+from qgft.signal import _NonFiniteError, _grid_fft
 
 
 def _convolve_direct(f, g):
@@ -44,6 +45,40 @@ def test_constructor_validation(z4):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         QSignal(z4, bad)
+
+
+def test_non_finite_error_is_a_value_error(z4):
+    bad = np.full((4, 4, 4), np.inf)
+    with pytest.raises(_NonFiniteError, match="finite"):
+        QSpectrum(z4, bad)
+    assert issubclass(_NonFiniteError, ValueError)
+
+
+def test_own_skips_the_copy_but_not_the_checks(z4):
+    vals = np.zeros((4, 4, 4))
+    assert QSignal._own(z4, vals).values is vals
+    with pytest.raises(ValueError, match="shape"):
+        QSignal._own(z4, np.zeros((4, 4, 3)))
+    vals[1, 2, 3] = np.nan
+    with pytest.raises(_NonFiniteError, match="finite"):
+        QSpectrum._own(z4, vals)
+
+
+@pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4)])
+@pytest.mark.parametrize("fft", [np.fft.fftn, np.fft.ifftn])
+def test_grid_fft_in_place_and_mirrored(rng, moduli, fft):
+    g = FiniteAbelianGroup(moduli)
+    n, neg = g.order, g.neg_perm
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = _grid_fft(x, g, fft)
+    buf = x.copy()
+    assert _grid_fft(buf, g, fft, out=buf).base is buf and np.allclose(buf, want)
+    # a strided plane, as the fast core uses it, and the mirrored second axis
+    planes = np.zeros((n, n, 2), dtype=np.complex128)
+    planes[..., 1] = x
+    _grid_fft(planes[..., 1], g, fft, out=planes[..., 1], mirror=True)
+    assert np.allclose(planes[..., 1], want[:, neg], rtol=0, atol=1e-12 * np.abs(want).max())
+    assert not planes[..., 0].any()
 
 
 def test_lp_norms_constant():
@@ -186,6 +221,16 @@ def test_transform_w(rng, z4):
 
     f = random_signal(z4, rng)
     assert np.array_equal(transform_W(transform_W(f)).values, f.values)
+
+
+def test_transform_w_output_owns_its_memory(rng, z8):
+    f = random_signal(z8, rng)
+    keep = f.values.copy()
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        wf = transform_W(f, axes)
+        assert not np.shares_memory(wf.values, f.values)
+        wf.values[...] = 7.0
+        assert np.array_equal(f.values, keep)
 
 
 def test_transform_w_isometries(rng, z8):
