@@ -216,7 +216,7 @@ def cmd_dump(args) -> int:
     print("bin,x1,x2,w,x,y,z")
     flat = sig.flat()
     n = grp.order
-    labels = [":".join(str(c) for c in el.coords) for el in grp.elements()]
+    labels = [":".join(map(str, row)) for row in grp.coords_matrix.tolist()]
     for b in range(n * n):
         w, x, y, z = (repr(float(c)) for c in flat[b])
         print(f"{b},{labels[b // n]},{labels[b % n]},{w},{x},{y},{z}")

@@ -1,16 +1,17 @@
 """Approximate-identity kernel families and smoothing diagnostics.
 
-A kernel family is a pair of real spectral envelopes (phi1, phi2) on the
-dual, indexed by an integer level l >= 0, with values in [0, 1], equal to 1
-at frequency zero, and non-decreasing in l toward 1.  Each level yields a
-spatial kernel
+A kernel family is one real spectral envelope phi on the dual, indexed by
+an integer level l >= 0, given as a profile of the circular distance, with
+values in [0, 1], equal to 1 at frequency zero, and non-decreasing in l
+toward 1.  Each level yields a separable spatial kernel
 
-    P_t(x) = (1/|G|) * sum_u phi_t(l, u) * chi(u, x),      t = 1, 2
-    P(x1, x2) = P_1(x1) * P_2(x2)
+    P_1(x) = (1/|G|) * sum_u phi(l, u) * chi(u, x)
+    P(x1, x2) = P_1(x1) * P_1(x2)
 
-which is real for envelopes symmetric under u -> -u and has unit total mass
-because phi_t(l, 0) = 1.  Convolving a signal with P smooths it; as the
-envelopes rise to 1 the smoothed signal returns to the original.
+which is real because a function of the circular distance is symmetric
+under u -> -u, and has unit total mass because phi(l, 0) = 1.  Convolving a
+signal with P smooths it; as the envelope rises to 1 the smoothed signal
+returns to the original.
 
 Built-in families (selected by name, shared with the CLI):
 
@@ -19,18 +20,17 @@ Built-in families (selected by name, shared with the CLI):
 * ``poisson_geometric`` phi(l, u) = exp(-circdist(u) / 2**l)
 
 where circdist is the circular distance min(u, n - u), summed across
-coordinates for product groups.
+coordinates for product groups and computed for the whole dual at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .group import DualElement, FiniteAbelianGroup
+from .group import FiniteAbelianGroup
 from .quat import DEFAULT_AXES, AxisPair, qabs2
 from .signal import QSignal, _grid_fft, convolve, lp_norm, reflect_conj
 from .qft import rqft_direct
@@ -48,33 +48,29 @@ __all__ = [
 ]
 
 
-def circular_distance(el: DualElement) -> int:
-    """Sum over coordinates of min(u, n - u)."""
-    return sum(min(c, n - c) for c, n in zip(el.coords, el.group.moduli))
+def circular_distance(group: FiniteAbelianGroup) -> np.ndarray:
+    """Sum over coordinates of min(u, n - u), per frequency in canonical order."""
+    c = group.coords_matrix
+    return np.minimum(c, np.asarray(group.moduli) - c).sum(axis=1)
 
 
 @dataclass
 class KernelFamily:
-    """A named pair of level-indexed spectral envelopes.
+    """A named level-indexed spectral envelope.
 
-    ``phi1`` and ``phi2`` map (level, frequency) to a real in [0, 1].
+    ``profile(level, d)`` maps an integer array of circular distances to
+    reals in [0, 1].  An envelope that depends on the frequency only through
+    its circular distance is even under u -> -u, so its kernel is real.
     """
 
     name: str
-    phi1: Callable[[int, DualElement], float]
-    phi2: Callable[[int, DualElement], float]
+    profile: Callable[[int, np.ndarray], np.ndarray]
 
-    def envelope(self, which: int, level: int, group: FiniteAbelianGroup) -> np.ndarray:
+    def envelope(self, level: int, group: FiniteAbelianGroup) -> np.ndarray:
         """Envelope values over the canonical dual enumeration."""
-        phi = self.phi1 if which == 1 else self.phi2
-        return np.array([phi(level, u) for u in group.elements()], dtype=np.float64)
-
-
-def _distance_family(name: str, profile: Callable[[int, int], float]) -> KernelFamily:
-    def phi(level: int, u: DualElement) -> float:
-        return profile(level, circular_distance(u))
-
-    return KernelFamily(name, phi, phi)
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        return self.profile(level, circular_distance(group))
 
 
 BUILTIN_FAMILIES = ("dirichlet", "fejer", "poisson_geometric")
@@ -83,15 +79,16 @@ BUILTIN_FAMILIES = ("dirichlet", "fejer", "poisson_geometric")
 def builtin_family(name: str) -> KernelFamily:
     """One of the built-in families by name; unknown names are rejected.
 
-    The families are distance-based and do not depend on the group beyond
-    the circular distance of each frequency.
+    Every level is accepted: numpy takes no exponent past int32 and no divisor
+    past the float range, so poisson_geometric caps the level at 2048 and fejer
+    at 2**1023, where the envelope is already 1 at every int64 distance.
     """
     if name == "dirichlet":
-        return _distance_family(name, lambda l, d: 1.0 if d <= l else 0.0)
+        return KernelFamily(name, lambda l, d: (d <= l).astype(np.float64))
     if name == "fejer":
-        return _distance_family(name, lambda l, d: max(0.0, 1.0 - d / (l + 1)))
+        return KernelFamily(name, lambda l, d: np.maximum(0.0, 1.0 - d / min(l + 1, 2**1023)))
     if name == "poisson_geometric":
-        return _distance_family(name, lambda l, d: float(np.exp(-math.ldexp(d, -l))))
+        return KernelFamily(name, lambda l, d: np.exp(-np.ldexp(d, -min(l, 2048))))
     raise ValueError(f"unknown kernel family {name!r}; choose from {BUILTIN_FAMILIES}")
 
 
@@ -103,42 +100,26 @@ class SpatialKernel:
     values: QSignal
 
 
-def _envelopes(family: KernelFamily, level: int, group: FiniteAbelianGroup):
-    """Both envelopes at ``level``, checked symmetric under u -> -u."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    envs = (family.envelope(1, level, group), family.envelope(2, level, group))
-    for env in envs:
-        if np.abs(env - env[group.neg_perm]).max() > 1e-9 * (1.0 + np.abs(env).max()):
-            raise ValueError(
-                f"family {family.name!r} is not symmetric under frequency "
-                "negation at this level; its spatial kernel is not real"
-            )
-    return envs
-
-
 def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) -> SpatialKernel:
-    """Spatial kernel of ``family`` at ``level`` on G x G.
-
-    Requires envelopes symmetric under u -> -u (true of the built-ins);
-    otherwise the defining sums are not real and construction fails.
-    """
-    env1, env2 = _envelopes(family, level, group)
-    n = group.order
-    vals = np.zeros((n, n, 4))
-    vals[..., 0] = _grid_fft(np.outer(env1, env2), group, np.fft.ifftn).real
-    return SpatialKernel(level=level, values=QSignal(group, vals))
+    """Spatial kernel of ``family`` at ``level`` on G x G, a real scalar signal."""
+    env = family.envelope(level, group)
+    vals = np.zeros((group.order, group.order, 4))
+    vals[..., 0] = _grid_fft(np.outer(env, env), group, np.fft.ifftn).real
+    return SpatialKernel(level=level, values=QSignal._own(group, vals))
 
 
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """Convolve f with the family's level-``level`` spatial kernel (f first).
 
     The kernel is real, scalar and separable, so this is the spectral multiply
-    ``ifftn(fftn(f) * phi1(u) * phi2(v))`` componentwise: O(|G|^2 log |G|).
+    ``ifftn(fftn(z) * phi(u) * phi(v))`` of the payload's symplectic pair z,
+    its complex view: O(|G|^2 log |G|).
     """
-    env1, env2 = _envelopes(family, level, f.group)
-    spec = _grid_fft(f.values, f.group) * np.outer(env1, env2)[..., None]
-    return QSignal(f.group, _grid_fft(spec, f.group, np.fft.ifftn).real)
+    env = family.envelope(level, f.group)
+    spec = _grid_fft(f.values.view(np.complex128), f.group)
+    spec *= np.outer(env, env)[..., None]
+    _grid_fft(spec, f.group, np.fft.ifftn, out=spec)
+    return QSignal._own(f.group, spec.view(np.float64))
 
 
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
@@ -160,7 +141,7 @@ def energy_identity(
     i.e. the autocorrelation of f smoothed by the kernel; rhs is the
     envelope-weighted spectral energy
 
-        sum_{u,v} phi1(u) * phi2(v) * |rqft(f)(u, v)|^2 * dual_weight.
+        sum_{u,v} phi(u) * phi(v) * |rqft(f)(u, v)|^2 * dual_weight.
 
     The two agree exactly (up to rounding) for every level and family; at
     full passband both reduce to ||f||_2^2.
@@ -169,8 +150,6 @@ def energy_identity(
     lhs = float(smooth(convolve(reflect_conj(f), f), family, level).values[0, 0, 0])
 
     F = rqft_direct(f, axes)
-    env1, env2 = _envelopes(family, level, grp)
-    rhs = float(
-        (env1[:, None] * env2[None, :] * qabs2(F.values)).sum() * grp.dual_weight
-    )
+    env = family.envelope(level, grp)
+    rhs = float((np.outer(env, env) * qabs2(F.values)).sum() * grp.dual_weight)
     return lhs, rhs

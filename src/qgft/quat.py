@@ -46,10 +46,8 @@ AXIS_TOL = 1e-9
 
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of ``(..., 4)`` arrays, broadcasting like ``*``.
+    """Hamilton product of real ``(..., 4)`` arrays, broadcasting like ``*``.
 
-    Complex arrays are accepted too: the product is bilinear with real
-    structure constants, which lets ``signal.convolve`` apply it to spectra.
     The term grouping of each component is fixed so that
     ``qconj(qmul(p, q)) == qmul(qconj(q), qconj(p))`` holds bitwise, not
     merely to rounding.

@@ -162,16 +162,29 @@ class QSpectrum(_QGrid):
         return self.group.dual_weight
 
 
-def lp_norm(f: _QGrid, p) -> float:
-    """Weighted p-norm of a signal or spectrum for p in {1, 2, inf}."""
-    mag = qabs(f.values)
+def _lp(values: np.ndarray, p, weight: float) -> float:
+    mag = qabs(values)
     if p == 1:
-        return float(mag.sum() * f.weight)
+        return float(mag.sum() * weight)
     if p == 2:
-        return float(np.sqrt((mag * mag).sum() * f.weight))
+        return float(np.sqrt((mag * mag).sum() * weight))
     if p in (np.inf, float("inf"), "inf"):
         return float(mag.max())
     raise ValueError(f"unsupported exponent p={p!r}; use 1, 2 or inf")
+
+
+def lp_norm(f: _QGrid, p) -> float:
+    """Weighted p-norm of a signal or spectrum for p in {1, 2, inf}.
+
+    The squares overflow for components above about 1e154; only then is the
+    norm taken again on the payload scaled by its largest component.
+    """
+    with np.errstate(over="ignore"):
+        norm = _lp(f.values, p, f.weight)
+        if not np.isfinite(norm):
+            scale = np.abs(f.values).max()
+            norm = float(scale * _lp(f.values / scale, p, f.weight))
+    return norm
 
 
 def inner_q(f: _QGrid, g: _QGrid) -> Quaternion:
@@ -223,8 +236,8 @@ def _grid_fft(
 
     The canonical index is row-major with the last coordinate fastest, so
     reshaping to ``moduli * 2`` gives one axis per cyclic factor.  Every FFT
-    in the library goes through here: ``(n, n, 4)`` payloads componentwise
-    and ``(n, n)`` complex planes alike.  ``out`` (which may be ``values``
+    in the library goes through here: ``(n, n)`` complex planes and
+    ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be ``values``
     itself) receives the result in place.  With ``mirror`` the second
     frequency comes out negated, X(u, -v): its axes run the opposite
     direction under the same normalisation, so no gather is needed.
@@ -244,13 +257,21 @@ def _grid_fft(
 def convolve(f: QSignal, g: QSignal) -> QSignal:
     """Quaternion convolution (f * g)(x) = sum_y f(y) * g(x - y).
 
-    Not commutative in general.  Left H-linear in f.  Applies ``qmul`` bin by
-    bin to the componentwise FFTs, f first (Pei-Ding-Chang): O(|G|^2 log |G|).
+    Not commutative in general.  Left H-linear in f.  The payload viewed as
+    complex is the symplectic pair of f = a1 + a2*j; with g = b1 + b2*j,
+    f * g = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*j (Pei-Ding-Chang),
+    and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).
     """
     f._check_same_carrier(g)
-    grp = f.group
-    spec = qmul(_grid_fft(f.values, grp), _grid_fft(g.values, grp))
-    return QSignal(grp, _grid_fft(spec, grp, np.fft.ifftn).real * f.weight)
+    grp, neg = f.group, f.group.neg_perm
+    A = _grid_fft(f.values.view(np.complex128), grp)
+    B = _grid_fft(g.values.view(np.complex128), grp)
+    Bc = np.conj(B[np.ix_(neg, neg)])
+    out = np.empty_like(A)
+    out[..., 0] = A[..., 0] * B[..., 0] - A[..., 1] * Bc[..., 1]
+    out[..., 1] = A[..., 0] * B[..., 1] + A[..., 1] * Bc[..., 0]
+    _grid_fft(out, grp, np.fft.ifftn, out=out)
+    return QSignal._own(grp, out.view(np.float64))
 
 
 def transform_W(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSignal:

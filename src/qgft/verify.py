@@ -482,8 +482,8 @@ def run_verification(
         worst = 0.0
         for fam in families:
             for l in range(7):
-                lo = fam.envelope(1, l, g)
-                hi = fam.envelope(1, l + 1, g)
+                lo = fam.envelope(l, g)
+                hi = fam.envelope(l + 1, g)
                 worst = max(worst, float(np.max(lo - hi)))
                 rng_vals = np.concatenate([lo, hi])
                 if rng_vals.min() < -1e-15 or rng_vals.max() > 1 + 1e-15:

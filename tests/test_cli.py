@@ -208,6 +208,15 @@ def test_smooth_poisson_geometric_huge_level(rng, tmp_path, z4):
     assert lp_norm(read_qsig(str(out)) - f, 2) <= 1e-12 * lp_norm(f, 2)
 
 
+def test_smooth_reports_finite_delta_for_huge_values(rng, tmp_path, z8, capsys):
+    # components near 1e200 overflow when squared, not when smoothed
+    src, out = tmp_path / "big.qsig", tmp_path / "o.qsig"
+    write_qsig(str(src), QSignal(z8, random_signal(z8, rng).values * 1e200))
+    assert run("smooth", src, out, "--family", "fejer", "--level", 2) == 0
+    delta = float(capsys.readouterr().err.strip().removeprefix("delta_l2 = "))
+    assert np.isfinite(delta) and delta > 1e190
+
+
 def test_verify_bad_group():
     assert run("verify", "--group", "8y3", "--trials", "1") == 2
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgft import FiniteAbelianGroup, QSignal, QSpectrum, random_signal, random_spectrum
 from qgft.fileio import (
@@ -114,3 +116,50 @@ def test_ppm_rejects_malformed():
         decode_ppm(b"P6\n2 2\n255\n" + b"\x00" * 11)
     with pytest.raises(PpmFormatError, match="header"):
         decode_ppm(b"P6\n2 2")
+
+
+# --- hostile bytes: the decoders raise only their own format errors ---------
+
+# 1.5 is 0x3FF8...: one changed top byte (0x7F or 0xFF) makes it a NaN
+_QSIG_SAMPLES = [
+    encode_qsig(grid(FiniteAbelianGroup(mods), np.full((n, n, 4), 1.5)))
+    for grid in (QSignal, QSpectrum)
+    for mods, n in (((1,), 1), ((2,), 2), ((1, 2), 2))
+]
+_PPM_SAMPLES = [
+    encode_ppm(np.arange(6, dtype=np.uint8).reshape(1, 2, 3)),
+    b"P6\n# c\n1 2\n255\n" + bytes(range(6)),
+]
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+def _mutated(samples):
+    """A sample with one byte replaced."""
+    return st.sampled_from(samples).flatmap(lambda data: st.builds(
+        lambda i, b: data[:i] + bytes([b]) + data[i + 1:],
+        st.integers(0, len(data) - 1), st.integers(0, 255)))
+
+
+def _truncated(samples):
+    """A proper prefix of a sample."""
+    return st.sampled_from(samples).flatmap(
+        lambda data: st.integers(0, len(data) - 1).map(lambda n: data[:n]))
+
+
+def _decodes_or_refuses(decode, error, data):
+    try:
+        decode(data)
+    except error:
+        pass
+
+
+@_FUZZ
+@given(st.binary(max_size=128) | _mutated(_QSIG_SAMPLES) | _truncated(_QSIG_SAMPLES))
+def test_decode_qsig_hostile_bytes(data):
+    _decodes_or_refuses(decode_qsig, QsigFormatError, data)
+
+
+@_FUZZ
+@given(st.binary(max_size=64) | _mutated(_PPM_SAMPLES) | _truncated(_PPM_SAMPLES))
+def test_decode_ppm_hostile_bytes(data):
+    _decodes_or_refuses(decode_ppm, PpmFormatError, data)

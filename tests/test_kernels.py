@@ -12,6 +12,7 @@ from qgft import (
     builtin_family,
     circular_distance,
     convergence_report,
+    convolve,
     energy_identity,
     lp_norm,
     random_signal,
@@ -31,28 +32,28 @@ def test_family_selection():
 
 
 def test_circular_distance(z8, z3x4):
-    dists = [circular_distance(u) for u in z8.elements()]
+    dists = circular_distance(z8).tolist()
     assert dists == [0, 1, 2, 3, 4, 3, 2, 1]
-    assert circular_distance(z3x4.element((2, 3))) == 1 + 1
+    assert circular_distance(z3x4)[z3x4.element((2, 3)).index] == 1 + 1
 
 
 def test_envelope_values(z8):
     fej = builtin_family("fejer")
-    assert fej.phi1(0, z8.element(0)) == 1.0
+    assert fej.envelope(0, z8)[0] == 1.0
     # level 0: nonzero only at frequency 0
-    assert [fej.phi1(0, u) for u in z8.elements()][1:] == [0.0] * 7
+    assert fej.envelope(0, z8)[1:].tolist() == [0.0] * 7
     pois = builtin_family("poisson_geometric")
-    assert pois.phi1(3, z8.element(4)) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert pois.envelope(3, z8)[4] == pytest.approx(math.exp(-0.5), rel=1e-15)
     diri = builtin_family("dirichlet")
-    assert all(diri.phi1(FULL_LEVEL_Z8, u) == 1.0 for u in z8.elements())
+    assert (diri.envelope(FULL_LEVEL_Z8, z8) == 1.0).all()
 
 
 def test_envelope_monotone_in_level(z8):
     for name in ("dirichlet", "fejer", "poisson_geometric"):
         fam = builtin_family(name)
         for l in range(8):
-            lo = fam.envelope(1, l, z8)
-            hi = fam.envelope(1, l + 1, z8)
+            lo = fam.envelope(l, z8)
+            hi = fam.envelope(l + 1, z8)
             assert (hi >= lo).all()
             assert lo.min() >= 0.0 and hi.max() <= 1.0
 
@@ -62,7 +63,32 @@ def test_poisson_geometric_huge_level(z8, z3x4):
     fam = builtin_family("poisson_geometric")
     for g in (z8, z3x4):
         for level in (1023, 1024, 2000):
-            assert (fam.envelope(1, level, g) == 1.0).all()
+            assert (fam.envelope(level, g) == 1.0).all()
+
+
+def test_builtin_families_take_any_level(z8, z3x4):
+    # past int32 exponents and the float range numpy needs a capped level;
+    # the envelopes still match the scalar definitions
+    for g in (z8, z3x4):
+        dists = circular_distance(g).tolist()
+        for level in (2**31, 2**62, 10**400):
+            assert (builtin_family("dirichlet").envelope(level, g) == 1.0).all()
+            assert (builtin_family("poisson_geometric").envelope(level, g) == 1.0).all()
+            fejer = [max(0.0, 1.0 - d / (level + 1)) for d in dists]
+            assert builtin_family("fejer").envelope(level, g).tolist() == fejer
+
+
+@pytest.mark.parametrize("mods", [(1,), (8,), (3, 4)])
+def test_convolve_and_smooth_own_their_memory(rng, mods):
+    g = FiniteAbelianGroup(mods)
+    f, h = random_signal(g, rng), random_signal(g, rng)
+    keep_f, keep_h = f.values.copy(), h.values.copy()
+    outs = [convolve(f, h), smooth(f, builtin_family("fejer"), 1)]
+    for out in outs:
+        assert not np.shares_memory(out.values, f.values)
+        assert not np.shares_memory(out.values, h.values)
+        out.values[...] = 7.0
+    assert np.array_equal(f.values, keep_f) and np.array_equal(h.values, keep_h)
 
 
 def test_dirichlet_full_band_is_delta(z8):
@@ -88,8 +114,8 @@ def test_fejer_closed_form_row():
         return (math.sin((m + 1) * t / 2) / math.sin(t / 2)) ** 2 / (m + 1)
 
     # P1(x) = (1/4) * F_1(2 pi x / 4); compare the actual one-axis row
-    p1 = [sum(builtin_family("fejer").phi1(1, z4.element(u)) *
-              math.cos(2 * math.pi * u * x / 4) for u in range(4)) / 4
+    env = builtin_family("fejer").envelope(1, z4)
+    p1 = [sum(env[u] * math.cos(2 * math.pi * u * x / 4) for u in range(4)) / 4
           for x in range(4)]
     for x in range(4):
         assert p1[x] == pytest.approx(fejer_closed(2 * math.pi * x / 4) / 4, abs=1e-12)
@@ -114,14 +140,22 @@ def test_spatial_kernel_rejects_bad_level(rng, z8):
         smooth(random_signal(z8, rng), builtin_family("fejer"), -1)
 
 
-def test_asymmetric_family_rejected(rng, z8):
-    # phi1(u) != phi1(-u) at u = 1: the spatial kernel would not be real
-    skew = KernelFamily("skew", lambda l, u: float(u.coords[0] <= 1),
-                        builtin_family("fejer").phi2)
-    with pytest.raises(ValueError, match="not symmetric"):
-        smooth(random_signal(z8, rng), skew, 1)
-    with pytest.raises(ValueError, match="not symmetric"):
-        spatial_kernel(skew, 1, z8)
+def test_custom_family_smooths_with_a_real_kernel(rng, z8, z3x4):
+    # any profile of the circular distance is even in u, so P is real
+    lorentz = KernelFamily("lorentz", lambda l, d: 1.0 / (1.0 + d * d / (l + 1.0)))
+    for g in (z8, z3x4):
+        f = random_signal(g, rng)
+        for level in range(3):
+            kern = spatial_kernel(lorentz, level, g)
+            want = _convolve_direct(f, kern.values)
+            err = np.abs(smooth(f, lorentz, level).values - want).max()
+            assert err <= 1e-12 * np.abs(f.values).max()
+            # the defining sum P_1(x) = (1/|G|) sum_u phi(u) exp(i theta(u, x))
+            p1 = lorentz.envelope(level, g) @ np.exp(1j * g.angle_table) / g.order
+            assert np.abs(p1.imag).max() <= 1e-15
+            assert np.allclose(kern.values.values[..., 0], np.outer(p1.real, p1.real),
+                               rtol=0, atol=1e-15)
+            assert not kern.values.values[..., 1:].any()
 
 
 @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
@@ -162,9 +196,8 @@ def test_convergence_report(rng, z8):
     # 2-norm residual is bounded by the worst spectral attenuation
     fam = builtin_family("fejer")
     for level in (0, 2, 5):
-        env1 = fam.envelope(1, level, z8)
-        env2 = fam.envelope(2, level, z8)
-        bound = (1.0 - np.outer(env1, env2)).max() * lp_norm(f, 2)
+        env = fam.envelope(level, z8)
+        bound = (1.0 - np.outer(env, env)).max() * lp_norm(f, 2)
         assert convergence_report(f, fam, level)[-1] <= bound * (1 + 1e-12)
 
     with pytest.raises(ValueError, match="lmax"):
@@ -176,9 +209,8 @@ def test_energy_identity_flat_spectrum(z8):
     fam = builtin_family("fejer")
     for level in (0, 1, 3):
         lhs, rhs = energy_identity(f, fam, level)
-        env1 = fam.envelope(1, level, z8)
-        env2 = fam.envelope(2, level, z8)
-        expected = env1.sum() * env2.sum() / 64.0
+        env = fam.envelope(level, z8)
+        expected = env.sum() * env.sum() / 64.0
         assert lhs == pytest.approx(expected, rel=1e-12)
         assert rhs == pytest.approx(expected, rel=1e-12)
 

@@ -18,6 +18,7 @@ from qgft import (
     random_signal,
     random_spectrum,
     reflect_conj,
+    symplectic_split,
     transform_W,
     transform_beta,
     translate,
@@ -92,6 +93,26 @@ def test_lp_norms_constant():
     assert lp_norm(F, 1) == 1.0
     with pytest.raises(ValueError, match="unsupported"):
         lp_norm(f, 3)
+
+
+@pytest.mark.parametrize("make", [random_signal, random_spectrum])
+def test_lp_norms_of_huge_payloads(rng, z8, make):
+    # squaring components above ~1e154 overflows; the norm itself does not
+    f = make(z8, rng)
+    big = type(f)(z8, f.values * 1e200)
+    for p in (1, 2, np.inf):
+        assert lp_norm(big, p) == pytest.approx(1e200 * lp_norm(f, p), rel=1e-14)
+
+
+def test_complex_view_is_the_symplectic_pair(rng, z3x4):
+    # the standard-frame payload (w, x, y, z) viewed as complex is (a1, a2)
+    # with f = a1 + a2*j, which convolve and smooth rely on
+    f = random_signal(z3x4, rng)
+    pairs = f.values.view(np.complex128)
+    assert pairs.shape == (12, 12, 2)
+    for i in range(12):
+        for j in range(12):
+            assert tuple(pairs[i, j]) == symplectic_split(f.at(i, j), DEFAULT_AXES)
 
 
 def test_norm_component_identity(rng, z8):
