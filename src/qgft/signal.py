@@ -176,14 +176,16 @@ def _lp(values: np.ndarray, p, weight: float) -> float:
 def lp_norm(f: _QGrid, p) -> float:
     """Weighted p-norm of a signal or spectrum for p in {1, 2, inf}.
 
-    The squares overflow for components above about 1e154; only then is the
-    norm taken again on the payload scaled by its largest component.
+    The squares overflow above about 1e154 and lose precision below about
+    1e-154, so a plain result that is non-finite or below 1e-100 is taken
+    again on the payload scaled by its largest component.
     """
     with np.errstate(over="ignore"):
         norm = _lp(f.values, p, f.weight)
-        if not np.isfinite(norm):
+        if not 1e-100 <= norm < np.inf:
             scale = np.abs(f.values).max()
-            norm = float(scale * _lp(f.values / scale, p, f.weight))
+            if scale > 0:
+                norm = float(scale * _lp(f.values / scale, p, f.weight))
     return norm
 
 
@@ -246,11 +248,15 @@ def _grid_fft(
     shape = group.moduli * 2 + values.shape[2:]
     x = values.reshape(shape)
     dest = None if out is None else out.reshape(shape, copy=False)
-    if not mirror:
-        return fft(x, axes=tuple(range(2 * k)), out=dest).reshape(values.shape)
-    opposite = np.fft.ifftn if fft is np.fft.fftn else np.fft.fftn
-    x = fft(x, axes=tuple(range(k)), out=dest)
-    x = opposite(x, axes=tuple(range(k, 2 * k)), norm="forward", out=x)
+    # fftn's own passes in its axis order, as 1-d calls: that skips its
+    # argument handling, which dominates the cost on small grids
+    one_d, opposite = (np.fft.fft, np.fft.ifft) if fft is np.fft.fftn else (np.fft.ifft, np.fft.fft)
+    for ax in reversed(range(2 * k)):
+        if mirror and ax >= k:
+            x = opposite(x, axis=ax, norm="forward", out=dest)
+        else:
+            x = one_d(x, axis=ax, out=dest)
+        dest = x
     return x.reshape(values.shape)
 
 

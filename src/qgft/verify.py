@@ -4,8 +4,9 @@ Runs every operator identity the library promises (norm preservation,
 inversion, linearity, the reflection and pairing identities, fast/direct
 agreement, kernel diagnostics) over seeded random signals and produces a
 deterministic report: same seed and arguments, same report.  Checks are
-named by the property they test.  Intended for desk-scale groups; the
-identity checks deliberately use the direct O(|G|^3)-per-stage evaluators.
+named by the property they test.  Intended for desk-scale groups: the
+identity checks deliberately use the direct evaluators, which take
+O(|G|^3) time per stage in an O(|G|^2) working set.
 """
 
 from __future__ import annotations
@@ -136,20 +137,20 @@ def _plane_valued(group, rng, axes) -> QSignal:
 
 
 class _Harness:
-    def __init__(self, group, trials, seed, tol_override, corrupt):
+    def __init__(self, group, trials, seed, tol_override):
         self.group = group
         self.trials = trials
         self.rng = np.random.default_rng(seed)
         self.tol_override = tol_override
-        self.corrupt = corrupt
         self.report = VerifyReport(
             seed=seed, group=repr(group), trials=trials, tol_override=tol_override
         )
 
-    def run(self, name, axes_label, tol, fn, note=""):
-        """Run ``fn(trial_index) -> error [, note]`` ``trials`` times."""
+    def run(self, name, axes_label, tol, fn, note="", trials=None):
+        """Run ``fn(trial_index) -> error [, note]`` ``trials`` (default: all) times."""
+        trials = self.trials if trials is None else trials
         tol = self.tol_override if self.tol_override is not None else tol
-        if self.trials == 0:
+        if trials == 0:
             self.report.checks.append(
                 CheckResult(name, repr(self.group), axes_label, 0, 0.0, tol,
                             passed=True, skipped=True, note="skipped: trials=0")
@@ -157,7 +158,7 @@ class _Harness:
             return
         max_err = 0.0
         notes = [note] if note else []
-        for i in range(self.trials):
+        for i in range(trials):
             out = fn(i)
             if isinstance(out, tuple):
                 err, extra = out
@@ -167,7 +168,7 @@ class _Harness:
                 err = out
             max_err = max(max_err, float(err))
         self.report.checks.append(
-            CheckResult(name, repr(self.group), axes_label, self.trials,
+            CheckResult(name, repr(self.group), axes_label, trials,
                         max_err, tol, passed=max_err <= tol, note="; ".join(notes))
         )
 
@@ -185,7 +186,7 @@ def run_verification(
     of the inversion check; it exists so the harness can prove it is able
     to fail.
     """
-    h = _Harness(group, trials, seed, tol, corrupt)
+    h = _Harness(group, trials, seed, tol)
     rng = h.rng
     g = group
     # random variants are drawn up front so every check is listed (as
@@ -273,17 +274,19 @@ def run_verification(
 
     # --- transform identities --------------------------------------------------
     for label, axes in axes_variants:
-        def rqft_inversion(_, axes=axes):
+        corrupt_here = corrupt and label == "default"
+
+        def rqft_inversion(_, axes=axes, corrupt_here=corrupt_here):
             f = random_signal(g, rng)
             F = rqft_direct(f, axes)
-            if h.corrupt and label == "default":
+            if corrupt_here:
                 bad = F.values.copy()
                 bad[0, 0, 0] += 1e-3 * (1.0 + np.abs(bad).max())
                 F = QSpectrum(g, bad)
             return _rel(lp_norm(irqft_direct(F, axes) - f, 2), lp_norm(f, 2))
 
         h.run("rqft-inversion", label, 1e-9, rqft_inversion,
-              note="forward transform corrupted on purpose" if corrupt and label == "default" else "")
+              note="forward transform corrupted on purpose" if corrupt_here else "")
 
         def plancherel_rqft(_, axes=axes):
             f = random_signal(g, rng)
@@ -305,17 +308,12 @@ def run_verification(
 
         h.run("sqft-inversion", label, 1e-9, sqft_inversion)
 
-    def plancherel_sqft(_):
-        f = random_signal(g, rng)
-        return _rel(abs(lp_norm(sqft_direct(f), 2) - lp_norm(f, 2)), lp_norm(f, 2))
+    for name, forward in (("sqft", sqft_direct), ("lqft", lqft_direct)):
+        def plancherel(_, forward=forward):
+            f = random_signal(g, rng)
+            return _rel(abs(lp_norm(forward(f), 2) - lp_norm(f, 2)), lp_norm(f, 2))
 
-    h.run("plancherel-sqft", "default", 1e-10, plancherel_sqft)
-
-    def plancherel_lqft(_):
-        f = random_signal(g, rng)
-        return _rel(abs(lp_norm(lqft_direct(f), 2) - lp_norm(f, 2)), lp_norm(f, 2))
-
-    h.run("plancherel-lqft", "default", 1e-10, plancherel_lqft)
+        h.run(f"plancherel-{name}", "default", 1e-10, plancherel)
 
     def parseval_quaternionic(_):
         f = random_signal(g, rng)
@@ -526,10 +524,7 @@ def run_verification(
         return worst
 
     energy_trials = min(trials, 3)
-    saved = h.trials
-    h.trials = energy_trials if trials else 0
     h.run("energy-identity", "default", 1e-9, energy_identity_check,
-          note=f"families x levels 0..4, {energy_trials} signals")
-    h.trials = saved
+          note=f"families x levels 0..4, {energy_trials} signals", trials=energy_trials)
 
     return h.report

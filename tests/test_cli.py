@@ -297,7 +297,7 @@ def test_spectrum_rendering(tmp_path, z8):
 
 
 def test_bench(capsys):
-    assert run("bench", "--sizes", 16, 32, "--repeats", 1) == 0
+    assert run("bench", "--sizes", 16, 32, "--repeats", 3) == 0
     out = capsys.readouterr().out
     assert "speedup" in out
     assert len(out.strip().splitlines()) == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ from qgft import (
     sqft_fast,
     transform_W,
 )
-from qgft.qft import _fast_qft
+from qgft.qft import _contract, _fast_qft
+from qgft.quat import qmul
 
 
 def plane_valued(group, rng, axes=DEFAULT_AXES):
@@ -217,6 +220,44 @@ def test_degenerate_single_point_group(rng):
     F = random_spectrum(z1, rng)
     for inv in (irqft_direct, isqft_direct, ilqft_direct, irqft_fast, isqft_fast, ilqft_fast):
         assert np.allclose(inv(F).values, F.values, atol=1e-15)
+
+
+# --- the contraction behind the direct evaluators --------------------------------
+
+
+def test_contract_matches_literal_sum(rng, z3x4):
+    # a random table is not symmetric, so index order and Hamilton signs are
+    # checked apart from the character tables
+    n = z3x4.order
+    k = rng.standard_normal((n, n, 4))
+    v = rng.standard_normal((n, n, 4))
+    assert not np.allclose(k, k.swapaxes(0, 1))
+    literal = {
+        (0, True): qmul(k[:, :, None, :], v[None, :, :, :]).sum(axis=1),
+        (0, False): qmul(v[None, :, :, :], k[:, :, None, :]).sum(axis=1),
+        (1, True): qmul(k[None, :, :, :], v[:, None, :, :]).sum(axis=2),
+        (1, False): qmul(v[:, None, :, :], k[None, :, :, :]).sum(axis=2),
+    }
+    for (axis, left), want in literal.items():
+        np.testing.assert_allclose(_contract(v, k, axis, left), want, rtol=0, atol=1e-12)
+
+
+def test_direct_working_set_is_quadratic(rng):
+    # the (|G|, |G|, |G|, 4) broadcast temporaries are gone: each call peaks
+    # at a small multiple of one (|G|, |G|, 4) payload
+    g = FiniteAbelianGroup((64,))
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    calls = [lambda: rqft_direct(f), lambda: irqft_direct(F),
+             lambda: multiplication_pairing(f, F)]
+    for call in calls:
+        call()  # warm the group's cached tables
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * f.values.nbytes
 
 
 # --- general axes ------------------------------------------------------------

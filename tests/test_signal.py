@@ -97,11 +97,13 @@ def test_lp_norms_constant():
 
 @pytest.mark.parametrize("make", [random_signal, random_spectrum])
 def test_lp_norms_of_huge_payloads(rng, z8, make):
-    # squaring components above ~1e154 overflows; the norm itself does not
+    # squaring components above ~1e154 overflows and below ~1e-154 loses
+    # precision or vanishes; the norm itself does neither
     f = make(z8, rng)
-    big = type(f)(z8, f.values * 1e200)
-    for p in (1, 2, np.inf):
-        assert lp_norm(big, p) == pytest.approx(1e200 * lp_norm(f, p), rel=1e-14)
+    for factor in (1e200, 1e-160, 1e-200):
+        scaled = type(f)(z8, f.values * factor)
+        for p in (1, 2, np.inf):
+            assert lp_norm(scaled, p) == pytest.approx(factor * lp_norm(f, p), rel=1e-14)
 
 
 def test_complex_view_is_the_symplectic_pair(rng, z3x4):
