@@ -74,8 +74,7 @@ def encode_qsig(sig: QSignal | QSpectrum) -> bytes:
     grp = sig.group
     header = _HEADER.pack(MAGIC, VERSION, grp.rank, side, 0)
     moduli = struct.pack(f"<{grp.rank}I", *grp.moduli)
-    payload = np.ascontiguousarray(sig.flat(), dtype="<f8").tobytes()
-    return header + moduli + payload
+    return b"".join((header, moduli, np.ascontiguousarray(sig.flat(), dtype="<f8")))
 
 
 def write_qsig(path: str, sig: QSignal | QSpectrum) -> None:

@@ -1,12 +1,13 @@
 """Randomized verification harness behind ``qgft verify``.
 
-Runs every operator identity the library promises (norm preservation,
-inversion, linearity, the reflection and pairing identities, fast/direct
-agreement, kernel diagnostics) over seeded random signals and produces a
-deterministic report: same seed and arguments, same report.  Checks are
-named by the property they test.  Intended for desk-scale groups: the
-identity checks deliberately use the direct evaluators, which take
-O(|G|^3) time per stage in an O(|G|^2) working set.
+Checks every identity the library promises on seeded random inputs; same
+seed and arguments, same report.  Most checks are one of two harness steps:
+``agree`` (two maps agree on a fresh random input) or ``isometry`` (a map
+keeps the 2-norm).  Inversion: the ``*-inversion`` and ``rqft-unitary-onto``
+checks; Plancherel: ``plancherel-*`` and the ``*parseval*`` checks; the
+RQFT/SQFT relations: ``sqft-reflection-relation``, ``sqft-equals-rqft-*``,
+``isqft-reflection-identity`` and ``adjoint-pairing``.  Meant for desk-scale
+groups: these use the direct evaluators, O(|G|^3) time per stage.
 """
 
 from __future__ import annotations
@@ -124,16 +125,18 @@ def _plane_scalar(rng: np.random.Generator, axis) -> Quaternion:
     return Quaternion(a) + b * axis
 
 
-def _even_first(f: QSignal) -> QSignal:
-    neg = f.group.neg_perm
-    return QSignal(f.group, 0.5 * (f.values + f.values[neg]))
+def _even_first(group, rng) -> QSignal:
+    """Random signal that is even in the first variable."""
+    v = random_signal(group, rng).values
+    return QSignal(group, 0.5 * (v + v[group.neg_perm]))
 
 
-def _plane_valued(group, rng, axes) -> QSignal:
+def _plane_valued(group, rng) -> QSignal:
+    """Random signal valued in the commutative plane span{1, i}."""
     n = group.order
     comps = np.zeros((n, n, 4))
     comps[..., :2] = rng.standard_normal((n, n, 2))
-    return QSignal(group, axes.from_frame(comps))
+    return QSignal(group, comps)
 
 
 class _Harness:
@@ -147,7 +150,7 @@ class _Harness:
         )
 
     def run(self, name, axes_label, tol, fn, note="", trials=None):
-        """Run ``fn(trial_index) -> error [, note]`` ``trials`` (default: all) times."""
+        """Run ``fn() -> error [, note]`` ``trials`` (default: all) times."""
         trials = self.trials if trials is None else trials
         tol = self.tol_override if self.tol_override is not None else tol
         if trials == 0:
@@ -158,8 +161,8 @@ class _Harness:
             return
         max_err = 0.0
         notes = [note] if note else []
-        for i in range(trials):
-            out = fn(i)
+        for _ in range(trials):
+            out = fn()
             if isinstance(out, tuple):
                 err, extra = out
                 if extra and extra not in notes:
@@ -171,6 +174,22 @@ class _Harness:
             CheckResult(name, repr(self.group), axes_label, trials,
                         max_err, tol, passed=max_err <= tol, note="; ".join(notes))
         )
+
+    def agree(self, name, axes_label, tol, make, lhs, rhs=lambda x: x, note=""):
+        """Check ``lhs(x) == rhs(x)`` for ``x = make(group, rng)``, relative to ``x``."""
+        def err():
+            x = make(self.group, self.rng)
+            return _rel(lp_norm(lhs(x) - rhs(x), 2), lp_norm(x, 2))
+
+        self.run(name, axes_label, tol, err, note)
+
+    def isometry(self, name, axes_label, tol, op):
+        """Check ``||op f||_2 == ||f||_2`` for a random signal ``f``, relative to ``f``."""
+        def err():
+            f = random_signal(self.group, self.rng)
+            return _rel(abs(lp_norm(op(f), 2) - lp_norm(f, 2)), lp_norm(f, 2))
+
+        self.run(name, axes_label, tol, err)
 
 
 def run_verification(
@@ -196,7 +215,7 @@ def run_verification(
     ]
 
     # --- character machinery ------------------------------------------------
-    def character_orthogonality(_):
+    def character_orthogonality():
         if g.order == 1:
             return 0.0
         k1 = character_table(g, DEFAULT_AXES.mu1)
@@ -207,7 +226,7 @@ def run_verification(
 
     # --- signal-level identities ---------------------------------------------
     for label, axes in axes_variants:
-        def reflection_isometry(_, axes=axes):
+        def reflection_isometry():
             f = random_signal(g, rng)
             gg = random_signal(g, rng)
             wf, wg = transform_W(f, axes), transform_W(gg, axes)
@@ -218,7 +237,7 @@ def run_verification(
 
         h.run("reflection-isometry", label, 1e-10, reflection_isometry)
 
-        def reflection_slice_pairing(_, axes=axes):
+        def reflection_slice_pairing():
             f = random_signal(g, rng)
             gg = random_signal(g, rng)
             lhs = (axes.mu1 * inner_q(f, gg)).scalar_part()
@@ -227,7 +246,7 @@ def run_verification(
 
         h.run("reflection-slice-pairing", label, 1e-10, reflection_slice_pairing)
 
-    def reflection_plane_linearity(_):
+    def reflection_plane_linearity():
         f = random_signal(g, rng)
         z = _plane_scalar(rng, DEFAULT_AXES.mu1)
         d = transform_W(f.left_mul(z)) - transform_W(f).left_mul(z)
@@ -235,13 +254,10 @@ def run_verification(
 
     h.run("reflection-plane-linearity", "default", 1e-12, reflection_plane_linearity)
 
-    def reflection_involution(_):
-        f = random_signal(g, rng)
-        return _rel(lp_norm(transform_W(transform_W(f)) - f, 2), lp_norm(f, 2))
+    h.agree("reflection-involution", "default", 1e-12, random_signal,
+            lambda f: transform_W(transform_W(f)))
 
-    h.run("reflection-involution", "default", 1e-12, reflection_involution)
-
-    def translation_isometry(_):
+    def translation_isometry():
         f = random_signal(g, rng)
         y = (g.element_at(int(rng.integers(g.order))),
              g.element_at(int(rng.integers(g.order))))
@@ -253,7 +269,7 @@ def run_verification(
 
     h.run("translation-isometry", "default", 1e-12, translation_isometry)
 
-    def convolution_left_linearity(_):
+    def convolution_left_linearity():
         f = random_signal(g, rng)
         gg = random_signal(g, rng)
         q = Quaternion(*rng.standard_normal(4))
@@ -262,7 +278,7 @@ def run_verification(
 
     h.run("convolution-left-linearity", "default", 1e-10, convolution_left_linearity)
 
-    def component_norm_identities(_):
+    def component_norm_identities():
         f = random_signal(g, rng)
         comp_inf = sum(float(np.abs(f.values[..., m]).max()) for m in range(4))
         if lp_norm(f, np.inf) > 2.0 * comp_inf * (1 + 1e-12):
@@ -276,46 +292,28 @@ def run_verification(
     for label, axes in axes_variants:
         corrupt_here = corrupt and label == "default"
 
-        def rqft_inversion(_, axes=axes, corrupt_here=corrupt_here):
-            f = random_signal(g, rng)
+        def forward(f):
             F = rqft_direct(f, axes)
             if corrupt_here:
                 bad = F.values.copy()
                 bad[0, 0, 0] += 1e-3 * (1.0 + np.abs(bad).max())
                 F = QSpectrum(g, bad)
-            return _rel(lp_norm(irqft_direct(F, axes) - f, 2), lp_norm(f, 2))
+            return F
 
-        h.run("rqft-inversion", label, 1e-9, rqft_inversion,
-              note="forward transform corrupted on purpose" if corrupt_here else "")
+        h.agree("rqft-inversion", label, 1e-9, random_signal,
+                lambda f: irqft_direct(forward(f), axes),
+                note="forward transform corrupted on purpose" if corrupt_here else "")
+        h.isometry("plancherel-rqft", label, 1e-10, lambda f: rqft_direct(f, axes))
+        h.agree("sqft-reflection-relation", label, 1e-10, random_signal,
+                lambda f: sqft_direct(f, axes),
+                lambda f: rqft_direct(transform_W(f, axes), axes))
+        h.agree("sqft-inversion", label, 1e-9, random_signal,
+                lambda f: isqft_direct(sqft_direct(f, axes), axes))
 
-        def plancherel_rqft(_, axes=axes):
-            f = random_signal(g, rng)
-            return _rel(abs(lp_norm(rqft_direct(f, axes), 2) - lp_norm(f, 2)), lp_norm(f, 2))
+    h.isometry("plancherel-sqft", "default", 1e-10, sqft_direct)
+    h.isometry("plancherel-lqft", "default", 1e-10, lqft_direct)
 
-        h.run("plancherel-rqft", label, 1e-10, plancherel_rqft)
-
-        def sqft_reflection_relation(_, axes=axes):
-            f = random_signal(g, rng)
-            d = sqft_direct(f, axes) - rqft_direct(transform_W(f, axes), axes)
-            return _rel(lp_norm(d, 2), lp_norm(f, 2))
-
-        h.run("sqft-reflection-relation", label, 1e-10, sqft_reflection_relation)
-
-        def sqft_inversion(_, axes=axes):
-            f = random_signal(g, rng)
-            back = isqft_direct(sqft_direct(f, axes), axes)
-            return _rel(lp_norm(back - f, 2), lp_norm(f, 2))
-
-        h.run("sqft-inversion", label, 1e-9, sqft_inversion)
-
-    for name, forward in (("sqft", sqft_direct), ("lqft", lqft_direct)):
-        def plancherel(_, forward=forward):
-            f = random_signal(g, rng)
-            return _rel(abs(lp_norm(forward(f), 2) - lp_norm(f, 2)), lp_norm(f, 2))
-
-        h.run(f"plancherel-{name}", "default", 1e-10, plancherel)
-
-    def parseval_quaternionic(_):
+    def parseval_quaternionic():
         f = random_signal(g, rng)
         gg = random_signal(g, rng)
         p = inner_q(f, gg)
@@ -325,14 +323,10 @@ def run_verification(
 
     h.run("parseval-quaternionic-rqft", "default", 1e-10, parseval_quaternionic)
 
-    def unitary_onto(_):
-        F = random_spectrum(g, rng)
-        d = rqft_direct(irqft_direct(F)) - F
-        return _rel(lp_norm(d, 2), lp_norm(F, 2))
+    h.agree("rqft-unitary-onto", "default", 1e-10, random_spectrum,
+            lambda F: rqft_direct(irqft_direct(F)))
 
-    h.run("rqft-unitary-onto", "default", 1e-10, unitary_onto)
-
-    def uniqueness(_):
+    def uniqueness():
         f = random_signal(g, rng)
         other = irqft_direct(rqft_direct(f))
         spec_gap = lp_norm(rqft_direct(other) - rqft_direct(f), 2)
@@ -343,14 +337,14 @@ def run_verification(
     h.run("rqft-uniqueness", "default", 1e-9, uniqueness,
           note="pair built to share a spectrum; sup distance reported")
 
-    def sup_bound(_):
+    def sup_bound():
         f = random_signal(g, rng)
         excess = lp_norm(rqft_direct(f), np.inf) - lp_norm(f, 1)
         return max(0.0, _rel(excess, lp_norm(f, 1)))
 
     h.run("rqft-sup-bound", "default", 1e-12, sup_bound)
 
-    def rqft_left_linearity(_):
+    def rqft_left_linearity():
         f = random_signal(g, rng)
         q = Quaternion(*rng.standard_normal(4))
         d = rqft_direct(f.left_mul(q)) - rqft_direct(f).left_mul(q)
@@ -358,7 +352,7 @@ def run_verification(
 
     h.run("rqft-left-linearity", "default", 1e-10, rqft_left_linearity)
 
-    def sqft_plane_linearity(_):
+    def sqft_plane_linearity():
         f = random_signal(g, rng)
         z = _plane_scalar(rng, DEFAULT_AXES.mu1)
         w = _plane_scalar(rng, DEFAULT_AXES.mu2)
@@ -369,26 +363,14 @@ def run_verification(
 
     h.run("sqft-plane-linearity", "default", 1e-10, sqft_plane_linearity)
 
-    def sqft_equals_rqft_plane(_):
-        f = _plane_valued(g, rng, DEFAULT_AXES)
-        return _rel(lp_norm(sqft_direct(f) - rqft_direct(f), 2), lp_norm(f, 2))
+    h.agree("sqft-equals-rqft-plane-valued", "default", 1e-12, _plane_valued,
+            sqft_direct, rqft_direct)
+    h.agree("sqft-equals-rqft-even-first-variable", "default", 1e-12, _even_first,
+            sqft_direct, rqft_direct)
+    h.agree("isqft-reflection-identity", "default", 1e-10, random_spectrum,
+            lambda F: transform_W(isqft_direct(F)), irqft_direct)
 
-    h.run("sqft-equals-rqft-plane-valued", "default", 1e-12, sqft_equals_rqft_plane)
-
-    def sqft_equals_rqft_even(_):
-        f = _even_first(random_signal(g, rng))
-        return _rel(lp_norm(sqft_direct(f) - rqft_direct(f), 2), lp_norm(f, 2))
-
-    h.run("sqft-equals-rqft-even-first-variable", "default", 1e-12, sqft_equals_rqft_even)
-
-    def isqft_reflection_identity(_):
-        F = random_spectrum(g, rng)
-        d = transform_W(isqft_direct(F)) - irqft_direct(F)
-        return _rel(lp_norm(d, 2), lp_norm(F, 2))
-
-    h.run("isqft-reflection-identity", "default", 1e-10, isqft_reflection_identity)
-
-    def adjoint_pairing(_):
+    def adjoint_pairing():
         f = random_signal(g, rng)
         gg = random_spectrum(g, rng)
         lhs = inner_real(sqft_direct(f), gg)
@@ -397,7 +379,7 @@ def run_verification(
 
     h.run("adjoint-pairing", "default", 1e-10, adjoint_pairing)
 
-    def component_parseval(_):
+    def component_parseval():
         f = random_signal(g, rng)
         gg = random_signal(g, rng)
         p = inner_q(f, gg).to_array()
@@ -405,10 +387,10 @@ def run_verification(
         scale = lp_norm(f, 2) * lp_norm(gg, 2)
         err01 = float(np.abs(p[:2] - q[:2]).max())
         dev23 = _rel(float(np.abs(p[2:] - q[2:]).max()), scale)
-        fp, gp = _plane_valued(g, rng, DEFAULT_AXES), _plane_valued(g, rng, DEFAULT_AXES)
+        fp, gp = _plane_valued(g, rng), _plane_valued(g, rng)
         pq = np.abs(inner_q(fp, gp).to_array()
                     - inner_q(sqft_direct(fp), sqft_direct(gp)).to_array()).max()
-        fe, ge = _even_first(random_signal(g, rng)), _even_first(random_signal(g, rng))
+        fe, ge = _even_first(g, rng), _even_first(g, rng)
         pe = np.abs(inner_q(fe, ge).to_array()
                     - inner_q(sqft_direct(fe), sqft_direct(ge)).to_array()).max()
         err = max(_rel(err01, scale),
@@ -418,7 +400,7 @@ def run_verification(
 
     h.run("component-parseval-sqft", "default", 1e-10, component_parseval)
 
-    def multiplication_formula(_):
+    def multiplication_formula():
         f = random_signal(g, rng)
         gg = random_spectrum(g, rng)
         scale = lp_norm(f, 1) * lp_norm(gg, 1)
@@ -435,22 +417,19 @@ def run_verification(
         ("", FORWARD_FAST, FORWARD_DIRECT, random_signal),
         ("i", INVERSE_FAST, INVERSE_DIRECT, random_spectrum),
     ]
-    for prefix, fast_table, direct_table, make in directions:
+    for prefix, fast, direct, make in directions:
         for kind in TransformKind:
-            def agree(_, kind=kind, fast=fast_table, direct=direct_table, make=make):
-                x = make(g, rng)
-                return _rel(lp_norm(fast[kind](x) - direct[kind](x), 2), lp_norm(x, 2))
+            h.agree(f"fast-direct-{prefix}{kind.value}", "default", 1e-9, make,
+                    fast[kind], direct[kind])
 
-            h.run(f"fast-direct-{prefix}{kind.value}", "default", 1e-9, agree)
-
-    def fast_random_axes(_):
+    def fast_random_axes():
         axes = random_axis_pair(rng)
         f = random_signal(g, rng)
         return _rel(lp_norm(rqft_fast(f, axes) - rqft_direct(f, axes), 2), lp_norm(f, 2))
 
     h.run("fast-direct-rqft", "random", 1e-9, fast_random_axes)
 
-    def classical_embedding(_):
+    def classical_embedding():
         z = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
         got = classical_dft_via_rqft(z, g)
         theta = g.angle_table
@@ -466,7 +445,7 @@ def run_verification(
     families = [kmod.builtin_family(nm) for nm in kmod.BUILTIN_FAMILIES]
     levels = range(5)
 
-    def kernel_total_mass(_):
+    def kernel_total_mass():
         worst = 0.0
         for fam in families:
             for l in levels:
@@ -476,7 +455,7 @@ def run_verification(
 
     h.run("kernel-total-mass", "default", 1e-10, kernel_total_mass)
 
-    def envelope_monotone(_):
+    def envelope_monotone():
         worst = 0.0
         for fam in families:
             for l in range(7):
@@ -493,7 +472,7 @@ def run_verification(
 
     full_level = sum(n // 2 for n in g.moduli)
 
-    def smoothing_exact_full_band(_):
+    def smoothing_exact_full_band():
         f = random_signal(g, rng)
         sm = kmod.smooth(f, families[0], full_level)
         e2 = _rel(lp_norm(sm - f, 2), lp_norm(f, 2))
@@ -503,7 +482,7 @@ def run_verification(
     h.run("smoothing-exact-at-full-band", "default", 1e-10, smoothing_exact_full_band,
           note=f"dirichlet at level {full_level} passes the whole dual")
 
-    def monotone_convergence(_):
+    def monotone_convergence():
         f = random_signal(g, rng)
         errs = kmod.convergence_report(f, families[2], 6)
         worst = 0.0
@@ -514,7 +493,7 @@ def run_verification(
     h.run("smoothing-monotone-decay", "default", 1e-12, monotone_convergence,
           note="geometric family residuals must not increase with the level")
 
-    def energy_identity_check(i):
+    def energy_identity_check():
         f = random_signal(g, rng)
         worst = 0.0
         for fam in families:

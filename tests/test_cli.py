@@ -307,6 +307,14 @@ def test_bench(capsys):
         assert "--repeats must be >= 1" in err and "Traceback" not in err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    for argv in (("verify", "--group", 4, "--trials", 1), ("bench", "--sizes", 8)):
+        assert run(*argv, "--seed", -1) == 2
+        captured = capsys.readouterr()
+        assert "qgft: error: --seed must be >= 0" in captured.err
+        assert captured.out == ""
+
+
 def test_bench_gate_starts_at_its_size_floor(capsys):
     # a one-bin direct sum can beat the fast path's fixed cost, so the
     # smallest sizes are timed but not compared
