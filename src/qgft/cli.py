@@ -14,8 +14,12 @@ Subcommands:
 * ``dump``: print a QSIG file as CSV for debugging.
 
 Exit codes: 0 success, 1 verification/benchmark assertion failure, 2 usage,
-file-format or path error.  Output files are written atomically; no partial
-file survives a failure.
+file-format or path error, an order whose payload no array can hold, or a
+host out of memory.  Output files are written atomically; no partial file
+survives a failure.
+
+A command builds only its own subparser, so help, usage and error text are
+those of the full parser.
 """
 
 from __future__ import annotations
@@ -49,12 +53,24 @@ class CliError(Exception):
     """Usage or format problem; reported on stderr with exit status 2."""
 
 
+def _check_order(order: int) -> None:
+    """Reject an order whose ``(n, n, 4)`` float64 payload no array can hold."""
+    nbytes = order * order * 4 * 8
+    if nbytes > sys.maxsize:
+        raise CliError(
+            f"order {order} is too large: its payload of {nbytes} bytes "
+            f"exceeds the largest array size, {sys.maxsize} bytes"
+        )
+
+
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     try:
         moduli = tuple(int(tok) for tok in spec.lower().split("x"))
-        return FiniteAbelianGroup(moduli)
+        group = FiniteAbelianGroup(moduli)
     except ValueError as exc:
         raise CliError(f"bad group spec {spec!r}: {exc}") from exc
+    _check_order(group.order)
+    return group
 
 
 def parse_axes(values) -> AxisPair:
@@ -181,12 +197,14 @@ def cmd_bench(args) -> int:
         raise CliError("--repeats must be >= 1")
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
+    for n in args.sizes:
+        if n < 1:
+            raise CliError("sizes must be positive")
+        _check_order(n)
     rng = np.random.default_rng(args.seed)
     print(f"{'N':>5} {'bins':>8} {'fast [s]':>10} {'direct [s]':>11} {'speedup':>8}")
     ok = True
     for n in args.sizes:
-        if n < 1:
-            raise CliError("sizes must be positive")
         group = FiniteAbelianGroup((n,))
         f = random_signal(group, rng)
         gated = BENCH_GATE_MIN <= n <= DIRECT_BENCH_LIMIT
@@ -228,48 +246,35 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="qgft",
-        description="Quaternion Fourier transforms on finite abelian groups.",
+_KINDS = [k.value for k in TransformKind]
+
+
+def _io_args(p) -> None:
+    p.add_argument("input")
+    p.add_argument("output")
+
+
+def _transform_args(p) -> None:
+    _io_args(p)
+    p.add_argument("--kind", choices=_KINDS, default="rqft")
+    p.add_argument("--mode", choices=("fast", "direct"), default="fast")
+    p.add_argument(
+        "--axes",
+        nargs=8,
+        type=float,
+        metavar="R",
+        help="custom axis pair as 8 floats: mu1 then mu2 components "
+        "(w x y z each); both must be perpendicular unit pure-imaginary",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-    kinds = [k.value for k in TransformKind]
 
-    def add_axes(p):
-        p.add_argument(
-            "--axes",
-            nargs=8,
-            type=float,
-            metavar="R",
-            help="custom axis pair as 8 floats: mu1 then mu2 components "
-            "(w x y z each); both must be perpendicular unit pure-imaginary",
-        )
 
-    p = sub.add_parser("transform", help="forward transform of a primal QSIG file")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--kind", choices=kinds, default="rqft")
-    p.add_argument("--mode", choices=("fast", "direct"), default="fast")
-    add_axes(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("inverse", help="inverse transform of a dual QSIG file")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--kind", choices=kinds, default="rqft")
-    p.add_argument("--mode", choices=("fast", "direct"), default="fast")
-    add_axes(p)
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("smooth", help="convolve with an approximate-identity kernel")
-    p.add_argument("input")
-    p.add_argument("output")
+def _smooth_args(p) -> None:
+    _io_args(p)
     p.add_argument("--family", choices=BUILTIN_FAMILIES, default="fejer")
     p.add_argument("--level", type=int, default=0)
-    p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("verify", help="run the randomized identity suite")
+
+def _verify_args(p) -> None:
     p.add_argument("--group", required=True, help="group spec, e.g. 8 or 3x4")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
@@ -278,46 +283,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.add_argument("--self-test-corrupt", action="store_true",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("img2q", help="square P6 PPM image to primal QSIG")
+
+def _bench_args(p) -> None:
+    p.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128, 256])
+    p.add_argument("--kind", choices=_KINDS, default="rqft")
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _dump_args(p) -> None:
     p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_img2q)
 
-    p = sub.add_parser("q2img", help="primal QSIG to P6 PPM (clamped to [0,1])")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_q2img)
 
-    p = sub.add_parser("spectrum", help="dual QSIG to log-magnitude grayscale PPM")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser(
-        "bench",
-        help="time fast vs direct evaluators",
-        description="Time the fast and direct evaluators on Z_N x Z_N. For "
+# name -> (handler, argument builder, add_parser keywords), in help order
+COMMANDS = {
+    "transform": (cmd_transform, _transform_args,
+                  {"help": "forward transform of a primal QSIG file"}),
+    "inverse": (cmd_inverse, _transform_args,
+                {"help": "inverse transform of a dual QSIG file"}),
+    "smooth": (cmd_smooth, _smooth_args,
+               {"help": "convolve with an approximate-identity kernel"}),
+    "verify": (cmd_verify, _verify_args, {"help": "run the randomized identity suite"}),
+    "img2q": (cmd_img2q, _io_args, {"help": "square P6 PPM image to primal QSIG"}),
+    "q2img": (cmd_q2img, _io_args,
+              {"help": "primal QSIG to P6 PPM (clamped to [0,1])"}),
+    "spectrum": (cmd_spectrum, _io_args,
+                 {"help": "dual QSIG to log-magnitude grayscale PPM"}),
+    "bench": (cmd_bench, _bench_args, {
+        "help": "time fast vs direct evaluators",
+        "description": "Time the fast and direct evaluators on Z_N x Z_N. For "
         f"{BENCH_GATE_MIN} <= N <= {DIRECT_BENCH_LIMIT} the direct one is timed "
         "too, and the command exits 1 if the fast path is not faster; other "
         "sizes print '-' for it.",
+    }),
+    "dump": (cmd_dump, _dump_args, {"help": "print a QSIG file as CSV"}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qgft`` parser; for a subcommand name, with only that subparser.
+
+    Either way a given argv parses to the same namespace, help and errors.
+    """
+    top = argparse.ArgumentParser(
+        prog="qgft",
+        description="Quaternion Fourier transforms on finite abelian groups.",
     )
-    p.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128, 256])
-    p.add_argument("--kind", choices=kinds, default="rqft")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("dump", help="print a QSIG file as CSV")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_dump)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    sub = top.add_subparsers(
+        dest="command",
+        required=True,
+        # one subparser, but the top usage still lists every choice
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
+    )
+    for name in names:
+        handler, add_arguments, parser_kwargs = COMMANDS[name]
+        p = sub.add_parser(name, **parser_kwargs)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # an overflow is reported once, by the grid check below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -327,6 +357,9 @@ def main(argv=None) -> int:
         return 2
     except _NonFiniteError as exc:  # inputs are finite, so the result overflowed
         print(f"qgft: error: the computation overflows float64: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an accepted order can still outgrow this host
+        print(f"qgft: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgft import QSignal, QSpectrum, Quaternion, lp_norm, random_signal
+from qgft import cli
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
+from qgft.kernels import BUILTIN_FAMILIES
 
 
 def run(*argv):
@@ -359,3 +363,171 @@ def test_dump(rng, tmp_path, capsys, z3x4):
     first = out[2].split(",")
     assert first[:3] == ["0", "0:0", "0:0"]
     assert [float(v) for v in first[3:]] == list(f.values[0, 0])
+
+
+# One valid call per subcommand; the corpus below derives bad ones from it.
+VALID_ARGS = {
+    "transform": ["f.qsig", "F.qsig", "--kind", "lqft", "--axes", *"0 1 0 0 0 0 1 0".split()],
+    "inverse": ["F.qsig", "g.qsig", "--mode", "direct"],
+    "smooth": ["f.qsig", "s.qsig", "--family", "dirichlet", "--level", "3"],
+    "verify": ["--group", "3x4", "--trials", "1", "--json", "r.json"],
+    "img2q": ["in.ppm", "f.qsig"],
+    "q2img": ["f.qsig", "out.ppm"],
+    "spectrum": ["F.qsig", "view.ppm"],
+    "bench": ["--sizes", "8", "16", "--kind", "sqft", "--repeats", "1"],
+    "dump": ["f.qsig"],
+}
+
+
+def argv_corpus(name):
+    valid = [name, *VALID_ARGS[name]]
+    choice = "--family" if name == "smooth" else "--kind"
+    return [
+        valid,
+        [name, "--help"],
+        [*valid, "--bogus"],          # unknown option
+        [*valid, choice, "bad"],      # bad choice
+        [name],                       # missing positional or required option
+        [*valid, "extra"],            # extra positional: the top parser's usage
+    ]
+
+
+def parse_outcome(parser, argv, capsys):
+    """(namespace, exit code, stdout, stderr) of one parse."""
+    try:
+        ns, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    return (ns, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_matches_full_parser(name, capsys):
+    for argv in argv_corpus(name):
+        one = parse_outcome(cli.build_parser(name), argv, capsys)
+        assert one == parse_outcome(cli.build_parser(), argv, capsys), argv
+
+
+def test_one_command_parser_knows_no_other_command(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser("smooth").parse_args(["dump", "f.qsig"])
+    choices = capsys.readouterr().err.split("invalid choice: 'dump'")[1]
+    assert "smooth" in choices and "transform" not in choices
+
+
+def test_every_call_builds_its_own_parser(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+    for _ in range(2):
+        assert main(["verify", "--group", "1", "--trials", "0"]) == 0
+    assert built == [("verify",), ("verify",)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--group", "4294967296", "--trials", "1"),
+    ("verify", "--group", "65536x65536", "--trials", "1"),
+    ("bench", "--sizes", "8", "4294967296"),
+], ids=["verify-cyclic", "verify-product", "bench"])
+def test_order_beyond_any_array_exits_2(argv, capsys):
+    # rejected before anything is allocated or printed
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qgft: error: order 4294967296 is too large")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("run_verification", ("verify", "--group", "4", "--trials", "1")),
+    ("random_signal", ("bench", "--sizes", "4")),
+])
+def test_out_of_memory_exits_2(target, argv, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == "qgft: error: out of memory: Unable to allocate 298. GiB for an array\n"
+
+
+# -- argv drawn from a small grammar: exit 0, 1 or 2, never a traceback -------
+
+GRAMMAR_INPUTS = ["f.qsig", "F.qsig", "big.qsig", "bad.qsig", "img.ppm", "rect.ppm",
+                  "bad.ppm", "missing.qsig", "dir"]
+GRAMMAR_OUTPUTS = ["out.qsig", "out.ppm", "report.json", "nodir/out.qsig", "dir"]
+# option -> (good values, bad values); each value is a list of tokens
+GRAMMAR_VALUES = {
+    "--kind": ([["rqft"], ["sqft"], ["lqft"]], [["qqft"]]),
+    "--mode": ([["fast"], ["direct"]], [["slow"]]),
+    "--axes": ([["0", "1", "0", "0", "0", "0", "1", "0"]],
+               [["0", "1", "0", "0"] * 2, ["nan"] * 8, ["1e400"] * 8, ["1", "2"]]),
+    "--family": ([[f] for f in BUILTIN_FAMILIES], [["gauss"]]),
+    "--level": ([["0"], ["3"], ["2000"]], [["-1"], ["x"]]),
+    "--group": ([["1"], ["4"], ["2x2"]], [["0"], ["8x"], ["-3"], ["4294967296"]]),
+    "--trials": ([["0"], ["1"]], [["-1"], ["x"]]),
+    "--seed": ([["0"], ["7"]], [["-1"], ["x"]]),
+    "--tol": ([["1e-30"], ["10"]], [["-1"], ["nan"], ["x"]]),
+    "--json": ([["report.json"]], [["nodir/r.json"], ["dir"]]),
+    "--sizes": ([["1"], ["2", "8"]], [["0"], ["4294967296"], ["x"], []]),
+    "--repeats": ([["1"]], [["0"], ["x"]]),
+    "--self-test-corrupt": ([[]], [["x"]]),
+}
+GRAMMAR_OPTIONS = {
+    "transform": ["--kind", "--mode", "--axes"],
+    "inverse": ["--kind", "--mode", "--axes"],
+    "smooth": ["--family", "--level"],
+    "verify": ["--seed", "--tol", "--json", "--self-test-corrupt"],
+    "bench": ["--kind", "--repeats", "--seed"],
+}
+# always drawn, so verify has a group and no draw runs long
+GRAMMAR_ALWAYS = {"verify": ["--group", "--trials"], "bench": ["--sizes"]}
+GRAMMAR_ARITY = {"verify": 0, "bench": 0, "dump": 1}  # positionals; others take 2
+GRAMMAR_GOOD_INPUT = {"inverse": "F.qsig", "spectrum": "F.qsig", "img2q": "img.ppm"}
+STRAY_TOKENS = ["extra", "--bogus", "-x", "--", "-h"]
+
+
+@st.composite
+def grammar_argv(draw):
+    def pick(good, bad):  # good three times in four, so most calls reach a handler
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+    command = pick(list(cli.COMMANDS), ["nope", "--help", ""])
+    argv = [command]
+    arity = pick([GRAMMAR_ARITY.get(command, 2)], [0, 1, 2, 3])
+    for k in range(arity):
+        argv.append(pick(GRAMMAR_OUTPUTS[:3], GRAMMAR_OUTPUTS[3:]) if k else
+                     pick([GRAMMAR_GOOD_INPUT.get(command, "f.qsig")], GRAMMAR_INPUTS))
+    own = GRAMMAR_OPTIONS.get(command)
+    chosen = draw(st.lists(st.sampled_from(own), max_size=2)) if own else []
+    for opt in chosen + GRAMMAR_ALWAYS.get(command, []):
+        argv += [opt, *pick(*GRAMMAR_VALUES[opt])]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY_TOKENS)))
+    return argv
+
+
+def test_argv_grammar_never_raises(tmp_path, monkeypatch, rng):
+    z2 = parse_group_spec("2")
+    write_qsig(str(tmp_path / "f.qsig"), random_signal(z2, rng))
+    write_qsig(str(tmp_path / "F.qsig"), QSpectrum(z2, rng.standard_normal((2, 2, 4))))
+    write_qsig(str(tmp_path / "big.qsig"), QSignal(z2, np.full((2, 2, 4), 1e308)))
+    (tmp_path / "bad.qsig").write_bytes(b"NOPE" + bytes(40))
+    write_ppm(str(tmp_path / "img.ppm"), rng.integers(0, 256, (2, 2, 3), dtype=np.uint8))
+    write_ppm(str(tmp_path / "rect.ppm"), rng.integers(0, 256, (2, 3, 3), dtype=np.uint8))
+    (tmp_path / "bad.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(5))
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)  # relative outputs, stray tokens included, land here
+
+    @settings(max_examples=100, deadline=None)
+    @given(grammar_argv())
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage error, or help
+            assert exc.code == 2 or (exc.code == 0 and {"-h", "--help"} & set(argv)), argv
+        else:
+            assert code in (0, 1, 2), argv
+
+    check()

@@ -9,15 +9,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        [sys.executable, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args):
+    return run_python(ROOT / "scripts" / name, *args)
 
 
 def test_image_roundtrip_script(tmp_path):
@@ -31,3 +35,18 @@ def test_smoothing_sweep_script():
     assert res.returncode == 0, res.stderr
     rows = [line for line in res.stdout.splitlines() if re.match(r"\s*\d+\s", line)]
     assert len(rows) == 4
+
+
+def test_module_entry_full_help():
+    # argv comes from sys.argv here; an option first builds the full parser
+    res = run_python("-m", "qgft", "--help")
+    assert res.returncode == 0, res.stderr
+    assert "{transform,inverse,smooth,verify,img2q,q2img,spectrum,bench,dump}" in res.stdout
+    assert "approximate-identity kernel" in res.stdout
+
+
+def test_module_entry_one_command_usage():
+    res = run_python("-m", "qgft", "smooth")
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage: qgft smooth")
+    assert "required: input, output" in res.stderr
