@@ -154,18 +154,20 @@ def cmd_img2q(args) -> int:
             "G x G, so only square images are accepted"
         )
     group = FiniteAbelianGroup((width,))
-    vals = np.zeros((width, width, 4))
-    vals[..., 1:] = pixels.astype(np.float64) / 255.0  # rows are the first variable
-    write_qsig(args.output, QSignal(group, vals))
+    vals = np.empty((width, width, 4))
+    vals[..., 0] = 0.0
+    np.divide(pixels, 255.0, out=vals[..., 1:])  # rows are the first variable
+    write_qsig(args.output, QSignal._own(group, vals))
     return 0
 
 
 def cmd_q2img(args) -> int:
     f = _load_primal(args.input)
-    n = f.group.order
-    rgb = np.clip(f.values[..., 1:], 0.0, 1.0) * 255.0
-    pixels = np.floor(rgb + 0.5).astype(np.uint8)  # round half-up
-    write_ppm(args.output, pixels.reshape(n, n, 3))
+    rgb = np.clip(f.values[..., 1:], 0.0, 1.0)  # the one float temporary
+    rgb *= 255.0
+    rgb += 0.5
+    np.floor(rgb, out=rgb)  # round half-up
+    write_ppm(args.output, rgb.astype(np.uint8))
     return 0
 
 

@@ -12,14 +12,18 @@ QSIG layout (all little-endian):
     ...           payload: |G|^2 * 4 float64, components (w, x, y, z) per
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
-Writers refuse non-finite payloads and go through a temp file plus rename,
-so a failed command never leaves a partial output behind.
+Readers check the header against the input's size before anything of
+payload size is allocated.  Writers refuse non-finite payloads and go
+through a temp file plus rename, so a failed command never leaves a partial
+output behind.  A file's payload is read straight into the grid's array and
+written straight from it: one copy each way.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import tempfile
 
@@ -43,6 +47,10 @@ VERSION = 1
 SIDE_PRIMAL = 0
 SIDE_DUAL = 1
 _HEADER = struct.Struct("<4sBBBB")
+_MAX_HEAD = _HEADER.size + 4 * 255  # the longest header and moduli block
+# A file up to this size leaves in one write call, header and payload
+# together; a larger chunk is written straight from its own memory.
+_WRITE_BUFFER = 1 << 16
 
 
 class QsigFormatError(Exception):
@@ -53,13 +61,15 @@ class PpmFormatError(Exception):
     """Malformed or unsupported PPM input."""
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file and rename."""
+def atomic_write_bytes(path: str, *chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``path`` via a
+    same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,24 +77,37 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def encode_qsig(sig: QSignal | QSpectrum) -> bytes:
+def _qsig_parts(sig: QSignal | QSpectrum) -> tuple[bytes, np.ndarray]:
+    """Header plus moduli, and the C-ordered little-endian payload array."""
     if not np.isfinite(sig.values).all():
         raise QsigFormatError("refusing to write non-finite values")
     side = SIDE_DUAL if isinstance(sig, QSpectrum) else SIDE_PRIMAL
     grp = sig.group
-    header = _HEADER.pack(MAGIC, VERSION, grp.rank, side, 0)
-    moduli = struct.pack(f"<{grp.rank}I", *grp.moduli)
-    return b"".join((header, moduli, np.ascontiguousarray(sig.flat(), dtype="<f8")))
+    head = _HEADER.pack(MAGIC, VERSION, grp.rank, side, 0) + struct.pack(
+        f"<{grp.rank}I", *grp.moduli)
+    return head, np.ascontiguousarray(sig.values, dtype="<f8")
+
+
+def encode_qsig(sig: QSignal | QSpectrum) -> bytes:
+    return b"".join(_qsig_parts(sig))
 
 
 def write_qsig(path: str, sig: QSignal | QSpectrum) -> None:
-    atomic_write_bytes(path, encode_qsig(sig))
+    # the payload goes to the file from the grid's own array, not via bytes
+    head, payload = _qsig_parts(sig)
+    atomic_write_bytes(path, head, memoryview(payload).cast("B"))
 
 
-def decode_qsig(data: bytes) -> QSignal | QSpectrum:
-    if len(data) < _HEADER.size:
+def _parse_head(head: bytes, size: int):
+    """Check a QSIG header against the input's total ``size`` in bytes.
+
+    ``head`` holds at least the first ``min(size, _MAX_HEAD)`` bytes.
+    Returns (grid class, group, payload offset); nothing of payload size
+    is allocated.
+    """
+    if size < _HEADER.size:
         raise QsigFormatError("truncated header")
-    magic, version, rank, side, reserved = _HEADER.unpack_from(data, 0)
+    magic, version, rank, side, reserved = _HEADER.unpack_from(head, 0)
     if magic != MAGIC:
         raise QsigFormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -97,37 +120,62 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
         raise QsigFormatError("reserved byte must be 0")
     off = _HEADER.size
     need = off + 4 * rank
-    if len(data) < need:
+    if size < need:
         raise QsigFormatError("truncated moduli block")
-    moduli = struct.unpack_from(f"<{rank}I", data, off)
+    moduli = struct.unpack_from(f"<{rank}I", head, off)
     if any(n < 1 for n in moduli):
         raise QsigFormatError(f"bad moduli {moduli}")
     # bound the order by the bytes present before it is formatted or used:
     # 255 moduli of 2**32 - 1 give an order with thousands of digits
     n = math.prod(moduli)
-    if n > len(data):
+    if n > size:
         raise QsigFormatError(
-            f"payload too short: a group of order above {len(data)} needs more "
-            f"than the {len(data) - need} payload bytes present"
+            f"payload too short: a group of order above {size} needs more "
+            f"than the {size - need} payload bytes present"
         )
     group = FiniteAbelianGroup(moduli)
-    expected = need + n * n * 4 * 8
-    if len(data) != expected:
+    _check_length(size, need + n * n * 4 * 8, group)
+    return (QSpectrum if side == SIDE_DUAL else QSignal), group, need
+
+
+def _check_length(size: int, expected: int, group: FiniteAbelianGroup) -> None:
+    if size != expected:
         raise QsigFormatError(
-            f"payload length mismatch: file has {len(data)} bytes, "
+            f"payload length mismatch: file has {size} bytes, "
             f"expected {expected} for group {group!r}"
         )
-    payload = np.frombuffer(data, dtype="<f8", offset=need).reshape(n, n, 4)
-    cls = QSpectrum if side == SIDE_DUAL else QSignal
+
+
+def _grid(make, group: FiniteAbelianGroup, values: np.ndarray):
     try:
-        return cls(group, payload)  # the grid constructor copies
+        return make(group, values)
     except _NonFiniteError as exc:
         raise QsigFormatError(str(exc)) from exc
 
 
+def decode_qsig(data: bytes) -> QSignal | QSpectrum:
+    cls, group, off = _parse_head(data, len(data))
+    n = group.order
+    payload = np.frombuffer(data, dtype="<f8", offset=off).reshape(n, n, 4)
+    return _grid(cls, group, payload)  # the grid constructor copies
+
+
 def read_qsig(path: str) -> QSignal | QSpectrum:
+    """Read a QSIG file; a regular file's payload is read straight into the
+    grid's array, after its header has been checked against the file size."""
     with open(path, "rb") as fh:
-        return decode_qsig(fh.read())
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            return decode_qsig(fh.read())  # a pipe's size is known only at its end
+        size = st.st_size
+        cls, group, off = _parse_head(fh.read(_MAX_HEAD), size)
+        n = group.order
+        values = np.empty((n, n, 4), dtype="<f8")
+        fh.seek(off)
+        got = fh.readinto(memoryview(values).cast("B"))
+        _check_length(off + got, size, group)  # the file shrank while read
+        # a no-op on little-endian hosts; elsewhere one conversion to native
+        return _grid(cls._own, group, np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,24 @@ def test_image_round_trip(rng, tmp_path):
     assert src.read_bytes() == out.read_bytes()
 
 
+def test_image_bridge_matches_reference_arithmetic(rng, tmp_path, z8):
+    pix = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+    src, q = tmp_path / "in.ppm", tmp_path / "img.qsig"
+    write_ppm(str(src), pix)
+    assert run("img2q", src, q) == 0
+    ref = np.zeros((8, 8, 4))
+    ref[..., 1:] = pix.astype(np.float64) / 255.0
+    assert read_qsig(str(q)).values.tobytes() == ref.tobytes()
+
+    vals = rng.uniform(-0.5, 1.5, size=(8, 8, 4))
+    vals[0, :, 1:] = (np.arange(24).reshape(8, 3) + 0.5) / 255.0  # halfway points
+    write_qsig(str(q), QSignal(z8, vals))
+    out = tmp_path / "out.ppm"
+    assert run("q2img", q, out) == 0
+    ref = np.floor(np.clip(vals[..., 1:], 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    assert np.array_equal(read_ppm(str(out))[2], ref)
+
+
 def test_img2q_all_black(tmp_path):
     src = tmp_path / "black.ppm"
     write_ppm(str(src), np.zeros((2, 2, 3), dtype=np.uint8))

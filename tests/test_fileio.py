@@ -1,9 +1,23 @@
+import errno
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qgft import FiniteAbelianGroup, QSignal, QSpectrum, random_signal, random_spectrum
+from qgft import (
+    FiniteAbelianGroup,
+    QSignal,
+    QSpectrum,
+    random_signal,
+    random_spectrum,
+    rqft_fast,
+)
 from qgft.fileio import (
     PpmFormatError,
     QsigFormatError,
@@ -14,6 +28,8 @@ from qgft.fileio import (
     read_qsig,
     write_qsig,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_qsig_round_trip_bit_exact(rng, tmp_path, z8, z3x4):
@@ -51,31 +67,102 @@ def test_qsig_header_layout(rng, z3x4):
     assert len(data) == 16 + 12 * 12 * 4 * 8
 
 
+def _malformed(good):
+    """(bytes, message pattern) for each way a valid file can be broken."""
+    return [
+        (b"XXXX" + good[4:], "magic"),
+        (good[:4] + b"\x02" + good[5:], "version"),
+        (good[:6] + b"\x05" + good[7:], "side"),
+        (good[:7] + b"\x01" + good[8:], "reserved"),
+        (good[:-8], "length"),
+        (good + b"\x00" * 8, "length"),
+        (good[:6], "truncated"),
+    ]
+
+
+# rank 255, every modulus 2**32 - 1 and no payload: the order has
+# thousands of digits and must be refused before it is formatted
+_HOSTILE_HEADER = b"QSG1" + bytes([1, 255, 0, 0]) + b"\xff\xff\xff\xff" * 255
+
+
 def test_qsig_reader_rejects_malformed(rng, z4):
-    good = encode_qsig(random_signal(z4, rng))
-    with pytest.raises(QsigFormatError, match="magic"):
-        decode_qsig(b"XXXX" + good[4:])
-    with pytest.raises(QsigFormatError, match="version"):
-        decode_qsig(good[:4] + b"\x02" + good[5:])
-    with pytest.raises(QsigFormatError, match="side"):
-        decode_qsig(good[:6] + b"\x05" + good[7:])
-    with pytest.raises(QsigFormatError, match="reserved"):
-        decode_qsig(good[:7] + b"\x01" + good[8:])
-    with pytest.raises(QsigFormatError, match="length"):
-        decode_qsig(good[:-8])
-    with pytest.raises(QsigFormatError, match="length"):
-        decode_qsig(good + b"\x00" * 8)
-    with pytest.raises(QsigFormatError, match="truncated"):
-        decode_qsig(good[:6])
+    for data, pattern in _malformed(encode_qsig(random_signal(z4, rng))):
+        with pytest.raises(QsigFormatError, match=pattern):
+            decode_qsig(data)
 
 
 def test_qsig_reader_bounds_hostile_header():
-    # rank 255, every modulus 2**32 - 1 and no payload: the order has
-    # thousands of digits and must be refused before it is formatted
-    header = b"QSG1" + bytes([1, 255, 0, 0]) + b"\xff\xff\xff\xff" * 255
-    assert len(header) == 1028
+    assert len(_HOSTILE_HEADER) == 1028
     with pytest.raises(QsigFormatError, match="payload too short"):
-        decode_qsig(header)
+        decode_qsig(_HOSTILE_HEADER)
+
+
+def _file_error(path, data):
+    path.write_bytes(data)
+    with pytest.raises(QsigFormatError) as info:
+        read_qsig(str(path))
+    return str(info.value)
+
+
+def test_qsig_file_reader_rejects_malformed(rng, z4, tmp_path):
+    cases = _malformed(encode_qsig(random_signal(z4, rng)))
+    cases.append((_HOSTILE_HEADER, "payload too short"))
+    for data, pattern in cases:
+        with pytest.raises(QsigFormatError, match=pattern) as decoded:
+            decode_qsig(data)
+        assert _file_error(tmp_path / "bad.qsig", data) == str(decoded.value)
+
+
+def test_qsig_file_reader_checks_header_before_allocating(tmp_path):
+    # a Z_4096 header (a 512 MB payload) over 8 KB of file
+    data = b"QSG1" + bytes([1, 1, 0, 0]) + (4096).to_bytes(4, "little")
+    tracemalloc.start()
+    try:
+        message = _file_error(tmp_path / "big.qsig", data + bytes(8192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "payload length mismatch" in message
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("moduli", [(1,), (5,), (1, 2, 3), (3, 4)])
+def test_qsig_reader_returns_owned_aligned_arrays(rng, tmp_path, moduli):
+    # header sizes 12, 12, 20 and 16 bytes: rank 3 puts the payload at an
+    # offset that is not a multiple of 8
+    sig = random_signal(FiniteAbelianGroup(moduli), rng)
+    path = tmp_path / "a.qsig"
+    write_qsig(str(path), sig)
+    back = read_qsig(str(path))
+    values = back.values
+    assert values.dtype == np.float64
+    flags = values.flags
+    assert flags.c_contiguous and flags.aligned and flags.writeable
+    assert flags.owndata  # so not a view of the bytes it was read from
+    assert values.tobytes() == sig.values.tobytes()
+
+
+def _run_qgft(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "qgft", *map(str, args)], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("how", ["redirect", "pipe"])
+def test_qsig_reader_takes_stdin(rng, tmp_path, z3x4, how):
+    # "< file" gives a regular file, a pipe gives a FIFO read to its end
+    src, out = tmp_path / "in.qsig", tmp_path / "out.qsig"
+    sig = random_signal(z3x4, rng)
+    write_qsig(str(src), sig)
+    if how == "redirect":
+        with open(src, "rb") as fh:
+            res = _run_qgft("transform", "/dev/stdin", out, stdin=fh)
+    else:
+        res = _run_qgft("transform", "/dev/stdin", out, input=src.read_bytes())
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == encode_qsig(rqft_fast(sig))
 
 
 def test_qsig_writer_rejects_non_finite(z4, tmp_path):
@@ -85,6 +172,40 @@ def test_qsig_writer_rejects_non_finite(z4, tmp_path):
     with pytest.raises(QsigFormatError, match="non-finite"):
         write_qsig(str(out), sig)
     assert not out.exists()  # no partial file on failure
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("make, moduli", [
+    (random_signal, (1,)), (random_signal, (8,)), (random_spectrum, (8,)),
+    (random_signal, (3, 4)), (random_spectrum, (512,)),
+])
+def test_qsig_writer_writes_encoded_bytes(rng, tmp_path, make, moduli):
+    sig = make(FiniteAbelianGroup(moduli), rng)
+    path = tmp_path / "w.qsig"
+    write_qsig(str(path), sig)
+    assert path.read_bytes() == encode_qsig(sig)
+
+
+def test_qsig_writer_failure_leaves_no_file(rng, tmp_path, z4, monkeypatch):
+    real_fdopen = os.fdopen
+
+    def fdopen_failing_second_write(*args, **kwargs):
+        fh = real_fdopen(*args, **kwargs)
+        write, calls = fh.write, []
+
+        def failing_write(chunk):
+            calls.append(len(chunk))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(chunk)
+
+        fh.write = failing_write
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen_failing_second_write)
+    with pytest.raises(OSError, match="No space left"):
+        write_qsig(str(tmp_path / "x.qsig"), random_signal(z4, rng))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_temp_litter(rng, tmp_path, z4):
@@ -157,6 +278,22 @@ def _decodes_or_refuses(decode, error, data):
 @given(st.binary(max_size=128) | _mutated(_QSIG_SAMPLES) | _truncated(_QSIG_SAMPLES))
 def test_decode_qsig_hostile_bytes(data):
     _decodes_or_refuses(decode_qsig, QsigFormatError, data)
+
+
+@settings(_FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=128) | _mutated(_QSIG_SAMPLES) | _truncated(_QSIG_SAMPLES))
+def test_read_qsig_matches_decode_qsig(tmp_path, data):
+    path = tmp_path / "fuzz.qsig"
+    path.write_bytes(data)
+    try:
+        decoded = decode_qsig(data)
+    except QsigFormatError as exc:
+        assert _file_error(path, data) == str(exc)
+        return
+    read = read_qsig(str(path))
+    assert type(read) is type(decoded)
+    assert read.group == decoded.group
+    assert read.values.tobytes() == decoded.values.tobytes()
 
 
 @_FUZZ
