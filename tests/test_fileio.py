@@ -284,12 +284,12 @@ def test_decode_qsig_hostile_bytes(data):
 @given(data=st.binary(max_size=128) | _mutated(_QSIG_SAMPLES) | _truncated(_QSIG_SAMPLES))
 def test_read_qsig_matches_decode_qsig(tmp_path, data):
     path = tmp_path / "fuzz.qsig"
-    path.write_bytes(data)
     try:
         decoded = decode_qsig(data)
     except QsigFormatError as exc:
         assert _file_error(path, data) == str(exc)
         return
+    path.write_bytes(data)
     read = read_qsig(str(path))
     assert type(read) is type(decoded)
     assert read.group == decoded.group
