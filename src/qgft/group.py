@@ -118,6 +118,17 @@ class FiniteAbelianGroup:
         return p
 
     @cached_property
+    def neg_swaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices that negation moves, as (i, index(-x_i)) pairs side by
+        side, and their images under :attr:`neg_perm`."""
+        lo = np.flatnonzero(self.neg_perm > np.arange(self.order))
+        moved = np.stack([lo, self.neg_perm[lo]], axis=1).reshape(-1)
+        partner = self.neg_perm[moved]
+        moved.setflags(write=False)
+        partner.setflags(write=False)
+        return moved, partner
+
+    @cached_property
     def angle_table(self) -> np.ndarray:
         """(order, order) table of pairing angles theta[u, x]."""
         th = np.zeros((self.order, self.order), dtype=np.float64)

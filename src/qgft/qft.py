@@ -41,9 +41,13 @@ still runs the equivalent chain rqft_fast(W f) instead of its row):
   isqft  ifftn  f = z1 + z2*mu2  none
   ilqft  ifftn  f = z1 + mu2*z2  before
 
-Both paths handle arbitrary axis pairs; the fast path maps a general frame
-onto the standard one through the algebra isomorphism of the frame change,
-while the direct path evaluates general-axis characters as defined.
+Both paths handle arbitrary axis pairs.  The direct path evaluates
+general-axis characters as defined.  The fast path maps a general frame onto
+the standard one through the algebra isomorphism of the frame change
+(Ell-Sangwine), composed into its entry map (frame change, then split) and
+its exit map (-mu1, the split's sign, frame change back), so every axis
+pair costs the same.  Those maps run by row blocks straight into the result,
+and the result is the one payload-sized array the fast core allocates.
 """
 
 from __future__ import annotations
@@ -55,7 +59,16 @@ import numpy as np
 
 from .group import FiniteAbelianGroup, character_table
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
-from .signal import QSignal, QSpectrum, _grid_fft, transform_W, transform_beta
+from .signal import (
+    QSignal,
+    QSpectrum,
+    _bin_map,
+    _frozen,
+    _grid_fft,
+    _swap_rows,
+    transform_W,
+    transform_beta,
+)
 
 __all__ = [
     "TransformKind",
@@ -180,6 +193,38 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # fast paths
 
 
+def _core_maps(axes: AxisPair, left: bool, before: bool):
+    """A kind's entry and exit ``_bin_map`` terms, frame change included.
+
+    In frame coordinates v = x M^T (M's rows are 1, mu1, mu2, mu3) the
+    entry writes z1 + mu1 z2 and z1 - mu1 z2 as the planes
+    (v0 - s v3, v1 + v2) and (v0 + s v3, v1 - v2), with s = 1 for the
+    right split and -1 for the left one, whose z2 is the conjugate of the
+    right split's; a "before" flip reads v2 and v3 at -x1, a second,
+    row-flipped term.  The exit multiplies the f2 plane by -mu1, flips the
+    sign of its mu3 part for the left split and maps back, y -> y R M.
+    For the default axes M = I and every map is a signed 0/1 matrix, so
+    the products are exact.  Cached on the axis pair.
+    """
+    key = ("core", left, before)
+    maps = axes._maps.get(key)
+    if maps is not None:
+        return maps
+    s = -1.0 if left else 1.0
+    plain = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], float)
+    mixed = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, -1], [-s, 0, s, 0]], float)
+    frame = axes.frame_matrix
+    if before:
+        entry = ((False, False, _frozen(frame.T @ plain)),
+                 (True, False, _frozen(frame.T @ mixed)))
+    else:
+        entry = ((False, False, _frozen(frame.T @ (plain + mixed))),)
+    rot = np.eye(4)
+    rot[2:, 2:] = [[0, -s], [1, 0]]
+    maps = axes._maps[key] = entry, ((False, False, _frozen(rot @ frame)),)
+    return maps
+
+
 def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     """The one fast evaluator, given a kind's row of the module table.
 
@@ -187,35 +232,30 @@ def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     and e(u, v) = FFT(z1 - mu1 z2)(u, -v) give the output planes
     f1 = (c + e)/2 and f2 = -mu1 (c - e)/2.  Both planes live in the
     result from the start: the frame components (0, 1) and (2, 3) of each
-    bin, viewed as complex.  The left split's z2 is the conjugate of the
-    right split's, so its mu3 part changes sign on the way in and out;
-    ``ifftn`` normalises by 1/|G|^2.
+    bin, viewed as complex.  The frame change is composed into the entry
+    map, which writes the planes straight from the input, and into the
+    exit map, which applies -mu1, the left split's sign and the way back
+    in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
+    Apart from the array it returns, nothing of payload size is
+    allocated.  ``ifftn`` normalises by 1/|G|^2.
     """
     assert flip in ("before", "after", None), flip
-    grp, neg, v = x.group, x.group.neg_perm, axes.to_frame(x.values)
-    # mu1 z2 = -v3 + mu1 v2 for the right split, +v3 + mu1 v2 for the left
-    # one; op_c and op_e put v3 into the real parts of z1 + mu1 z2, z1 - mu1 z2
-    v2, v3 = (v[neg, :, 2], v[neg, :, 3]) if flip == "before" else (v[..., 2], v[..., 3])
-    op_c, op_e = (np.add, np.subtract) if left else (np.subtract, np.add)
-    out = np.empty(v.shape)
-    op_c(v[..., 0], v3, out=out[..., 0])
-    np.add(v[..., 1], v2, out=out[..., 1])
-    op_e(v[..., 0], v3, out=out[..., 2])
-    np.subtract(v[..., 1], v2, out=out[..., 3])
+    grp, neg = x.group, x.group.neg_perm
+    entry, exit_ = _core_maps(axes, left, flip == "before")
+    out = np.empty(x.values.shape)
+    _bin_map(x.values, entry, neg, out)
     planes = out.view(np.complex128)
     f1, f2 = planes[..., 0], planes[..., 1]
     _grid_fft(f1, grp, fft, out=f1)
     _grid_fft(f2, grp, fft, out=f2, mirror=True)
-    # (c, e) -> ((c + e)/2, -mu1 (c - e)/2) in place
+    # (c, e) -> ((c + e)/2, (c - e)/2) in place
     np.subtract(f1, f2, out=f2)
     f2 *= 0.5
     f1 -= f2
-    f2 *= -1j
-    if left:
-        out[..., 3] *= -1
     if flip == "after":
-        f2[...] = f2[neg]
-    return axes.from_frame(out)
+        _swap_rows(f2, *grp.neg_swaps)
+    _bin_map(out, exit_, neg, out)
+    return out
 
 
 def rqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:

@@ -208,6 +208,12 @@ class AxisPair:
         return m
 
     @cached_property
+    def _maps(self) -> dict:
+        """Per-bin maps derived from the frame, cached here by the modules
+        that build them: a lookup then hashes a small key, not the pair."""
+        return {}
+
+    @cached_property
     def is_standard(self) -> bool:
         return bool(np.array_equal(self.frame_matrix, np.eye(4)))
 

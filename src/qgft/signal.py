@@ -260,6 +260,70 @@ def _grid_fft(
     return x.reshape(values.shape)
 
 
+# Row blocks of this many bytes stay in cache across the terms of a bin map,
+# and its block-sized temporaries stay far below one payload.
+_BLOCK_BYTES = 1 << 17
+
+
+def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray) -> None:
+    """out = sum of x[rows][:, cols] @ m over ``terms`` of (flip_rows, flip_cols, m).
+
+    Each term reads the ``(n, n, 4)`` payload with its first and/or second
+    variable negated (``neg`` is the group's negation permutation) and
+    applies the real 4x4 map ``m`` to every bin, as a row vector.  The work
+    goes by row blocks of ``_BLOCK_BYTES``, so no temporary is larger than
+    a block.  ``out`` may be ``x`` itself when no term flips rows.
+    """
+    step = max(1, _BLOCK_BYTES // x[0].nbytes)
+    for i in range(0, x.shape[0], step):
+        rows = slice(i, i + step)
+        dst = out[rows].reshape(-1, 4)
+        for t, (flip_rows, flip_cols, m) in enumerate(terms):
+            src = x[neg[rows]] if flip_rows else x[rows]
+            if flip_cols:
+                src = src[:, neg]
+            if t:
+                dst += src.reshape(-1, 4) @ m
+            else:  # matmul copies an overlapping input first
+                np.matmul(src.reshape(-1, 4), m, out=dst)
+
+
+def _swap_rows(plane: np.ndarray, moved: np.ndarray, partner: np.ndarray) -> None:
+    """plane[moved] = plane[partner] in place, by row blocks, where each
+    pair of rows that trade places is adjacent in ``moved``."""
+    step = 2 * max(1, _BLOCK_BYTES // (2 * plane[0].size * plane.itemsize))
+    for i in range(0, moved.size, step):
+        plane[moved[i:i + step]] = plane[partner[i:i + step]]
+
+
+# Per frame component (a, b, c, d): whether it reads -x1 and whether -x2.
+_W_FLIPS = ((False, False), (False, False), (True, False), (True, False))
+_BETA_FLIPS = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _flip_terms(axes: AxisPair, flips) -> tuple:
+    """``_bin_map`` terms that flip frame component k as ``flips[k]`` says.
+
+    Component k of the frame is the projection onto the frame axis e_k,
+    the rank-one map outer(e_k, e_k) in standard coordinates; components
+    with the same flips share one term.
+    """
+    terms = axes._maps.get(flips)
+    if terms is None:
+        frame, sums = axes.frame_matrix, {}
+        for k, flip in enumerate(flips):
+            sums[flip] = sums.get(flip, 0.0) + np.outer(frame[k], frame[k])
+        terms = tuple((rows, cols, _frozen(m)) for (rows, cols), m in sums.items())
+        axes._maps[flips] = terms
+    return terms
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only, as cached maps are shared by every caller."""
+    m.setflags(write=False)
+    return m
+
+
 def convolve(f: QSignal, g: QSignal) -> QSignal:
     """Quaternion convolution (f * g)(x) = sum_y f(y) * g(x - y).
 
@@ -290,14 +354,13 @@ def transform_W(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     i.e. f0 + i f1 + j f2(-x1,.) + k f3(-x1,.) for the default axes.  It is
     its own inverse, preserves all norms, and commutes with left
     multiplication by elements of the plane span{1, mu1}.  It converts the
-    sandwiched transform into the right-sided one.
+    sandwiched transform into the right-sided one.  With P the projection
+    onto span{mu2, mu3} it is f @ (I - P) + f(-x1, .) @ P per bin, written
+    by row blocks into the one array it returns.
     """
-    v = axes.to_frame(f.values)
-    neg = f.group.neg_perm
-    out = v.copy()
-    out[..., 2] = v[neg, :, 2]
-    out[..., 3] = v[neg, :, 3]
-    return QSignal._own(f.group, axes.from_frame(out))
+    out = np.empty(f.values.shape)
+    _bin_map(f.values, _flip_terms(axes, _W_FLIPS), f.group.neg_perm, out)
+    return QSignal._own(f.group, out)
 
 
 def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
@@ -312,13 +375,9 @@ def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """
     if not isinstance(g, QSpectrum):
         raise TypeError("transform_beta acts on spectra (dual side)")
-    v = axes.to_frame(g.values)
-    neg = g.group.neg_perm
-    out = v.copy()
-    out[..., 1] = v[:, neg, 1]
-    out[..., 2] = v[neg, :, 2]
-    out[..., 3] = v[neg][:, neg, 3]
-    return QSpectrum(g.group, axes.from_frame(out))
+    out = np.empty(g.values.shape)
+    _bin_map(g.values, _flip_terms(axes, _BETA_FLIPS), g.group.neg_perm, out)
+    return QSpectrum._own(g.group, out)
 
 
 def random_signal(group: FiniteAbelianGroup, rng: np.random.Generator) -> QSignal:

@@ -73,6 +73,19 @@ def test_negation_is_an_index_involution(z8, z3x4):
             assert p[el.index] == (-el).index
 
 
+def test_neg_swaps_pair_the_moved_indices(z8):
+    z6, z2x2x3 = FiniteAbelianGroup((6,)), FiniteAbelianGroup((2, 2, 3))
+    moved, partner = z6.neg_swaps
+    assert moved.tolist() == [1, 5, 2, 4] and partner.tolist() == [5, 1, 4, 2]  # 0, 3 fixed
+    for g in (z6, z8, z2x2x3, FiniteAbelianGroup((1,))):
+        p = g.neg_perm
+        moved, partner = g.neg_swaps
+        assert np.array_equal(p[moved], partner)
+        assert np.array_equal(moved.reshape(-1, 2)[:, ::-1].reshape(-1), partner)
+        fixed = np.flatnonzero(p == np.arange(g.order))
+        assert sorted([*moved, *fixed]) == list(range(g.order))
+
+
 def test_haar_weights():
     z2 = FiniteAbelianGroup((2,))
     assert z2.primal_weight == 1.0

@@ -34,7 +34,9 @@ from qgft import (
     sqft_direct,
     sqft_fast,
     transform_W,
+    transform_beta,
 )
+from qgft import signal
 from qgft.qft import _contract, _fast_qft
 from qgft.quat import qmul
 
@@ -361,6 +363,67 @@ def test_fast_core_rejects_mistyped_flip(rng, z8):
     f = random_signal(z8, rng)
     with pytest.raises(AssertionError):
         _fast_qft(f, DEFAULT_AXES, np.fft.fftn, False, "befor")
+
+
+# --- the frame change composed into the fast core --------------------------------
+
+FRAME_OPS = [rqft_fast, sqft_fast, lqft_fast, irqft_fast, isqft_fast, ilqft_fast,
+             transform_W, transform_beta]
+
+
+def _op_input(op, g, rng):
+    spectral = op in (irqft_fast, isqft_fast, ilqft_fast, transform_beta)
+    return random_spectrum(g, rng) if spectral else random_signal(g, rng)
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mods", [(1,), (2,), (8,), (3, 4), (2, 2, 3), (6,)])
+def test_composed_frame_change_matches_two_steps(rng, mods):
+    # the old path as oracle: into the frame, the default-axes op, back out
+    g = FiniteAbelianGroup(mods)
+    axes = random_axis_pair(rng)
+    for op in FRAME_OPS:
+        x = _op_input(op, g, rng)
+        two_step = op(type(x)(g, axes.to_frame(x.values)), DEFAULT_AXES)
+        assert _rel_gap(op(x, axes).values, axes.from_frame(two_step.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1000])
+def test_blocked_maps_match_one_block(rng, monkeypatch, block_bytes):
+    # 1 byte: one row (or row pair) per block; 1000 bytes: 2 to 5 rows, some blocks short
+    for mods in [(8,), (3, 4), (6,), (2, 2, 3)]:
+        g = FiniteAbelianGroup(mods)
+        for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+            for op in FRAME_OPS:
+                x = _op_input(op, g, rng)
+                whole = op(x, axes).values
+                with monkeypatch.context() as m:
+                    m.setattr(signal, "_BLOCK_BYTES", block_bytes)
+                    assert _rel_gap(op(x, axes).values, whole) <= 1e-15
+
+
+@pytest.mark.parametrize("mods", [(256,), (16, 16)])
+def test_fast_working_set_is_one_payload(rng, mods):
+    # apart from the result, a fast evaluator allocates nothing of payload
+    # size, with any axes: the frame change rides in the entry and exit maps
+    g = FiniteAbelianGroup(mods)
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    calls = [(rqft_fast, f, 1), (lqft_fast, f, 1), (irqft_fast, F, 1),
+             (isqft_fast, F, 1), (ilqft_fast, F, 1), (transform_W, f, 1),
+             (sqft_fast, f, 2)]  # sqft_fast is rqft_fast of transform_W
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        for op, x, results in calls:
+            op(x, axes)  # warm the cached maps and tables
+            tracemalloc.start()
+            try:
+                op(x, axes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (results + 0.25) * x.values.nbytes, op.__name__
 
 
 # --- multiplication pairing -----------------------------------------------------
