@@ -68,6 +68,7 @@ from .kernels import (
     circular_distance,
     convergence_report,
     energy_identity,
+    energy_identity_pairs,
     smooth,
     spatial_kernel,
 )

@@ -26,7 +26,7 @@ coordinates for product groups and computed for the whole dual at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "smooth",
     "convergence_report",
     "energy_identity",
+    "energy_identity_pairs",
 ]
 
 
@@ -108,6 +109,22 @@ def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) 
     return SpatialKernel(level=level, values=QSignal._own(group, vals))
 
 
+def _smoothed(
+    spec: np.ndarray, group: FiniteAbelianGroup, envelopes: Sequence[np.ndarray]
+) -> Iterator[tuple[np.ndarray, QSignal]]:
+    """(phi(u) * phi(v), ifftn(spec * phi(u) * phi(v))) for each envelope phi.
+
+    ``spec`` is the ``_grid_fft`` of a payload's complex view; the smoothed
+    signal is the second item.  The last envelope multiplies ``spec`` in
+    place, so one envelope costs one array, the result.
+    """
+    for k, env in enumerate(envelopes, 1):
+        weight = np.outer(env, env)
+        out = np.multiply(spec, weight[..., None], out=spec if k == len(envelopes) else None)
+        _grid_fft(out, group, np.fft.ifftn, out=out)
+        yield weight, QSignal._own(group, out.view(np.float64))
+
+
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """Convolve f with the family's level-``level`` spatial kernel (f first).
 
@@ -117,16 +134,41 @@ def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """
     env = family.envelope(level, f.group)
     spec = _grid_fft(f.values.view(np.complex128), f.group)
-    spec *= np.outer(env, env)[..., None]
-    _grid_fft(spec, f.group, np.fft.ifftn, out=spec)
-    return QSignal._own(f.group, spec.view(np.float64))
+    return next(_smoothed(spec, f.group, [env]))[1]
 
 
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
-    """The sequence ||smooth(f, l) - f||_p for l = 0 .. lmax."""
+    """The sequence ||smooth(f, l) - f||_p for l = 0 .. lmax.
+
+    Every level multiplies the same spectrum, so f's forward FFT runs once.
+    """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    return [lp_norm(smooth(f, family, l) - f, p) for l in range(lmax + 1)]
+    envs = [family.envelope(l, f.group) for l in range(lmax + 1)]
+    spec = _grid_fft(f.values.view(np.complex128), f.group)
+    return [lp_norm(sm - f, p) for _, sm in _smoothed(spec, f.group, envs)]
+
+
+def energy_identity_pairs(
+    f: QSignal,
+    pairs: Sequence[tuple[KernelFamily, int]],
+    axes: AxisPair = DEFAULT_AXES,
+) -> list[tuple[float, float]]:
+    """``energy_identity(f, family, level, axes)`` for each (family, level).
+
+    The autocorrelation of f, its forward FFT and the RQFT energy
+    ``|rqft(f)|^2`` do not depend on the kernel, so they are computed once;
+    each pair costs one envelope multiply and one inverse FFT.
+    """
+    grp = f.group
+    auto = convolve(reflect_conj(f), f)
+    spec = _grid_fft(auto.values.view(np.complex128), grp)
+    energy = qabs2(rqft_direct(f, axes).values)
+    envs = [family.envelope(level, grp) for family, level in pairs]
+    return [
+        (float(sm.values[0, 0, 0]), float((weight * energy).sum() * grp.dual_weight))
+        for weight, sm in _smoothed(spec, grp, envs)
+    ]
 
 
 def energy_identity(
@@ -144,12 +186,7 @@ def energy_identity(
         sum_{u,v} phi(u) * phi(v) * |rqft(f)(u, v)|^2 * dual_weight.
 
     The two agree exactly (up to rounding) for every level and family; at
-    full passband both reduce to ||f||_2^2.
+    full passband both reduce to ||f||_2^2.  ``energy_identity_pairs`` checks
+    many (family, level) pairs on one signal.
     """
-    grp = f.group
-    lhs = float(smooth(convolve(reflect_conj(f), f), family, level).values[0, 0, 0])
-
-    F = rqft_direct(f, axes)
-    env = family.envelope(level, grp)
-    rhs = float((np.outer(env, env) * qabs2(F.values)).sum() * grp.dual_weight)
-    return lhs, rhs
+    return energy_identity_pairs(f, [(family, level)], axes)[0]

@@ -14,7 +14,9 @@ from qgft import (
     convergence_report,
     convolve,
     energy_identity,
+    energy_identity_pairs,
     lp_norm,
+    random_axis_pair,
     random_signal,
     smooth,
     spatial_kernel,
@@ -204,6 +206,18 @@ def test_convergence_report(rng, z8):
         convergence_report(f, fam, -1)
 
 
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_convergence_report_is_smooth_per_level(rng, z8, z3x4, p):
+    # one shared forward FFT, same values as smoothing level by level
+    for grp in (z8, z3x4):
+        f = random_signal(grp, rng)
+        for name in BUILTIN_FAMILIES:
+            fam = builtin_family(name)
+            assert convergence_report(f, fam, 6, p) == [
+                lp_norm(smooth(f, fam, l) - f, p) for l in range(7)
+            ]
+
+
 def test_energy_identity_flat_spectrum(z8):
     f = QSignal.delta(z8)
     fam = builtin_family("fejer")
@@ -228,3 +242,14 @@ def test_energy_identity_random(rng, z8):
         for level in range(5):
             lhs, rhs = energy_identity(f, builtin_family(name), level)
             assert abs(lhs - rhs) <= 1e-9 * lp_norm(f, 2) ** 2
+
+
+def test_energy_identity_pairs_are_the_single_pair_results(rng, z8, z3x4):
+    for grp in (z8, z3x4):
+        f = random_signal(grp, rng)
+        axes = random_axis_pair(rng)
+        pairs = [(builtin_family(name), l) for name in BUILTIN_FAMILIES for l in range(5)]
+        assert energy_identity_pairs(f, pairs, axes) == [
+            energy_identity(f, fam, l, axes) for fam, l in pairs
+        ]
+        assert energy_identity_pairs(f, []) == []

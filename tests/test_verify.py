@@ -1,6 +1,9 @@
+import dataclasses
+import json
+
 import pytest
 
-from qgft import qft, verify
+from qgft import FiniteAbelianGroup, kernels, qft, verify
 from qgft.qft import TransformKind
 from qgft.verify import run_verification
 
@@ -94,3 +97,39 @@ def test_scaled_rqft_direct_fails_the_checks_that_use_it(monkeypatch, z3x4):
 def test_scaled_fast_evaluator_fails_its_agreement_check(monkeypatch, z3x4, kind):
     monkeypatch.setitem(qft.FORWARD_FAST, kind, _scaled(qft.FORWARD_FAST[kind]))
     assert _failed(z3x4) == {(f"fast-direct-{kind.value}", "default")}
+
+
+def test_energy_identity_check_shares_signal_work(monkeypatch, z3x4):
+    # one autocorrelation and one direct spectrum per signal, for all pairs
+    calls = {"convolve": 0, "rqft_direct": 0}
+
+    def counting(name):
+        fn = getattr(kernels, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
+    report = run_verification(z3x4, trials=2)
+    assert report.all_passed
+    assert calls == {"convolve": 2, "rqft_direct": 2}
+
+
+def test_json_matches_asdict_rendering():
+    g = FiniteAbelianGroup((3,))
+    report = run_verification(g, trials=1, seed=5, tol=1e-3)
+    report.checks += run_verification(g, trials=0).checks[:3]
+    assert any(c.note for c in report.checks if not c.skipped)
+    expected = {
+        "seed": 5,
+        "group": report.group,
+        "trials": 1,
+        "tol_override": 1e-3,
+        "passed": report.all_passed,
+        "checks": [dataclasses.asdict(c) for c in report.checks],
+    }
+    assert report.to_json() == json.dumps(expected, indent=2)
