@@ -12,12 +12,12 @@ import numpy as np
 
 from qgft import (
     BUILTIN_FAMILIES,
-    FiniteAbelianGroup,
     builtin_family,
     convergence_report,
     lp_norm,
     random_signal,
 )
+from qgft.cli import CliError, parse_group_spec
 
 
 def main():
@@ -26,8 +26,13 @@ def main():
     ap.add_argument("--lmax", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.lmax < 0:
+        ap.error("--lmax must be >= 0")
+    try:
+        g = parse_group_spec(args.group)
+    except CliError as exc:
+        ap.error(str(exc))
 
-    g = FiniteAbelianGroup(tuple(int(t) for t in args.group.lower().split("x")))
     f = random_signal(g, np.random.default_rng(args.seed))
     nf = lp_norm(f, 2)
     print(f"group={g!r}  ||f||_2={nf:.4f}")

@@ -133,13 +133,7 @@ def cmd_verify(args) -> int:
         raise CliError("--seed must be >= 0")
     if args.tol is not None and not args.tol >= 0:
         raise CliError("--tol must be a number >= 0")
-    report = run_verification(
-        group,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        corrupt=args.self_test_corrupt,
-    )
+    report = run_verification(group, trials=args.trials, seed=args.seed, tol=args.tol)
     print(report.format_text())
     if args.json:
         atomic_write_bytes(args.json, report.to_json().encode())
@@ -176,7 +170,13 @@ def cmd_spectrum(args) -> int:
     n = F.group.order
     mag = np.sqrt((F.values**2).sum(axis=-1))
     peak = float(mag.max())
-    if peak > 0.0:
+    if not np.isfinite(peak):  # the squares overflowed; with |values| < 2**e,
+        # log1p(2**e * m) = e*log(2) + log(2**-e + m) keeps every step finite
+        e = int(np.frexp(np.abs(F.values).max())[1])
+        m = np.sqrt((np.ldexp(F.values, -e) ** 2).sum(axis=-1))
+        img = e * np.log(2.0) + np.log(np.ldexp(1.0, -e) + m)
+        img *= 255.0 / img.max()
+    elif peak > 0.0:
         img = np.log1p(mag) / np.log1p(peak) * 255.0
     else:
         img = np.zeros_like(mag)
@@ -283,8 +283,6 @@ def _verify_args(p) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="override every check tolerance")
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-    p.add_argument("--self-test-corrupt", action="store_true",
-                   help=argparse.SUPPRESS)
 
 
 def _bench_args(p) -> None:

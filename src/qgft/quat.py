@@ -213,20 +213,13 @@ class AxisPair:
         that build them: a lookup then hashes a small key, not the pair."""
         return {}
 
-    @cached_property
-    def is_standard(self) -> bool:
-        return bool(np.array_equal(self.frame_matrix, np.eye(4)))
-
     def to_frame(self, values: np.ndarray) -> np.ndarray:
-        """Coordinates of ``(..., 4)`` values in the {1, mu1, mu2, mu3} frame."""
-        if self.is_standard:
-            return values
+        """Coordinates of ``(..., 4)`` values in the {1, mu1, mu2, mu3} frame,
+        as a new array."""
         return values @ self.frame_matrix.T
 
     def from_frame(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_frame`."""
-        if self.is_standard:
-            return values
         return values @ self.frame_matrix
 
 

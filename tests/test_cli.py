@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgft import QSignal, QSpectrum, Quaternion, lp_norm, random_signal
-from qgft import cli
+from qgft import cli, verify
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
 from qgft.kernels import BUILTIN_FAMILIES
@@ -150,7 +150,7 @@ def test_smooth_reports_delta_and_sweeps(rng, tmp_path, z8, capsys):
     assert exc.value.code == 2
 
 
-def test_verify_deterministic_and_exit_codes(tmp_path, capsys):
+def test_verify_deterministic_and_exit_codes(tmp_path, capsys, monkeypatch):
     args = ("verify", "--group", "4", "--trials", "4", "--seed", "9")
     assert run(*args) == 0
     first = capsys.readouterr().out
@@ -173,7 +173,16 @@ def test_verify_deterministic_and_exit_codes(tmp_path, capsys):
         "energy-identity",
     }
 
-    assert run("verify", "--group", "4", "--trials", "3", "--self-test-corrupt") == 1
+    with pytest.raises(SystemExit) as exc:  # verify has no fault-injection option
+        run("verify", "--group", "4", "--self-test-corrupt")
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    # a faulty oracle is substituted instead, and the suite must catch it
+    rqft_direct = verify.rqft_direct
+    monkeypatch.setattr(verify, "rqft_direct",
+                        lambda f, *axes: rqft_direct(f, *axes) * (1 + 1e-6))
+    assert run("verify", "--group", "4", "--trials", "3") == 1
     out = capsys.readouterr().out
     assert "[FAIL] rqft-inversion" in out
 
@@ -316,6 +325,18 @@ def test_spectrum_rendering(tmp_path, z8):
     primal = tmp_path / "p.qsig"
     write_qsig(str(primal), QSignal.zeros(z8))
     assert run("spectrum", primal, out) == 2
+
+    # finite files whose squared magnitudes overflow float64
+    write_qsig(str(const), QSpectrum.constant(z8, Quaternion(2.0)) * 1e200)
+    assert run("spectrum", const, out) == 0
+    _, _, pix = read_ppm(str(out))
+    assert pix.min() == 255  # uniform white
+
+    write_qsig(str(delta), QSpectrum.delta(z8) * 1e300)
+    assert run("spectrum", delta, out) == 0
+    _, _, pix = read_ppm(str(out))
+    assert pix[4, 4].tolist() == [255, 255, 255]  # zero frequency centered
+    assert pix.sum() == 3 * 255
 
 
 def test_bench(capsys):
@@ -490,13 +511,12 @@ GRAMMAR_VALUES = {
     "--json": ([["report.json"]], [["nodir/r.json"], ["dir"]]),
     "--sizes": ([["1"], ["2", "8"]], [["0"], ["4294967296"], ["x"], []]),
     "--repeats": ([["1"]], [["0"], ["x"]]),
-    "--self-test-corrupt": ([[]], [["x"]]),
 }
 GRAMMAR_OPTIONS = {
     "transform": ["--kind", "--mode", "--axes"],
     "inverse": ["--kind", "--mode", "--axes"],
     "smooth": ["--family", "--level"],
-    "verify": ["--seed", "--tol", "--json", "--self-test-corrupt"],
+    "verify": ["--seed", "--tol", "--json"],
     "bench": ["--kind", "--repeats", "--seed"],
 }
 # always drawn, so verify has a group and no draw runs long

@@ -37,6 +37,15 @@ def test_smoothing_sweep_script():
     assert len(rows) == 4
 
 
+def test_smoothing_sweep_rejects_bad_arguments():
+    for args in (("--group", "0"), ("--group", "8x"), ("--lmax", "-1")):
+        res = run_script("smoothing_sweep.py", *args)
+        assert res.returncode == 2, args
+        usage, error = res.stderr.splitlines()
+        assert usage.startswith("usage: smoothing_sweep.py")
+        assert error.startswith("smoothing_sweep.py: error: "), args
+
+
 def test_module_entry_full_help():
     # argv comes from sys.argv here; an option first builds the full parser
     res = run_python("-m", "qgft", "--help")

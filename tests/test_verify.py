@@ -75,28 +75,69 @@ def test_suite_keeps_its_checks(z3x4):
 
 
 def _scaled(fn):
-    return lambda x, *axes: fn(x, *axes) * (1 + 1e-6)
+    return lambda *args: fn(*args) * (1 + 1e-6)
 
 
-def test_scaled_rqft_direct_fails_the_checks_that_use_it(monkeypatch, z3x4):
-    monkeypatch.setattr(verify, "rqft_direct", _scaled(verify.rqft_direct))
-    both_sides = {"rqft-inversion", "plancherel-rqft", "sqft-reflection-relation"}
-    assert _failed(z3x4) == {
-        (name, label) for name in both_sides for label in ("default", "random-1", "random-2")
-    } | {
-        ("parseval-quaternionic-rqft", "default"),
-        ("rqft-unitary-onto", "default"),
-        ("rqft-uniqueness", "default"),
-        ("sqft-equals-rqft-plane-valued", "default"),
-        ("sqft-equals-rqft-even-first-variable", "default"),
-        ("fast-direct-rqft", "random"),
-    }
+def _at(labels, *names):
+    return {(name, label) for name in names for label in labels}
 
 
-@pytest.mark.parametrize("kind", list(TransformKind))
-def test_scaled_fast_evaluator_fails_its_agreement_check(monkeypatch, z3x4, kind):
-    monkeypatch.setitem(qft.FORWARD_FAST, kind, _scaled(qft.FORWARD_FAST[kind]))
-    assert _failed(z3x4) == {(f"fast-direct-{kind.value}", "default")}
+ALL_AXES = ("default", "random-1", "random-2")
+# (namespace, name) -> the exact (check, axes) set that fails once the
+# evaluator found there is scaled by 1 + 1e-6; the linearity checks and the
+# one-sided rqft-sup-bound cannot see a scaling, so they pass throughout
+SUBSTITUTIONS = [
+    pytest.param(verify, "rqft_direct",
+                 _at(ALL_AXES, "rqft-inversion", "plancherel-rqft", "sqft-reflection-relation")
+                 | _at(["default"], "parseval-quaternionic-rqft", "rqft-unitary-onto",
+                       "rqft-uniqueness", "sqft-equals-rqft-plane-valued",
+                       "sqft-equals-rqft-even-first-variable")
+                 | {("fast-direct-rqft", "random")},
+                 id="verify.rqft_direct"),
+    pytest.param(verify, "irqft_direct",
+                 _at(ALL_AXES, "rqft-inversion")
+                 | _at(["default"], "rqft-unitary-onto", "rqft-uniqueness",
+                       "isqft-reflection-identity", "adjoint-pairing"),
+                 id="verify.irqft_direct"),
+    pytest.param(verify, "sqft_direct",
+                 _at(ALL_AXES, "sqft-reflection-relation", "sqft-inversion")
+                 | _at(["default"], "plancherel-sqft", "sqft-equals-rqft-plane-valued",
+                       "sqft-equals-rqft-even-first-variable", "adjoint-pairing",
+                       "component-parseval-sqft"),
+                 id="verify.sqft_direct"),
+    pytest.param(verify, "isqft_direct",
+                 _at(ALL_AXES, "sqft-inversion") | _at(["default"], "isqft-reflection-identity"),
+                 id="verify.isqft_direct"),
+    pytest.param(verify, "lqft_direct", _at(["default"], "plancherel-lqft"),
+                 id="verify.lqft_direct"),
+    pytest.param(verify, "transform_W",
+                 _at(ALL_AXES, "reflection-isometry", "reflection-slice-pairing",
+                     "sqft-reflection-relation")
+                 | _at(["default"], "reflection-involution", "isqft-reflection-identity",
+                       "adjoint-pairing"),
+                 id="verify.transform_W"),
+    # the one convolve check is a linearity check, so nothing sees the scaling
+    pytest.param(verify, "convolve", set(), id="verify.convolve"),
+    *[pytest.param(table, kind, {(f"fast-direct-{prefix}{kind.value}", "default")},
+                   id=f"{name}.{kind.value}")
+      for prefix, name, table in (("", "FORWARD_FAST", qft.FORWARD_FAST),
+                                  ("i", "INVERSE_FAST", qft.INVERSE_FAST))
+      for kind in TransformKind],
+    pytest.param(kernels, "rqft_direct", {("energy-identity", "default")},
+                 id="kernels.rqft_direct"),
+    pytest.param(kernels, "convolve", {("energy-identity", "default")},
+                 id="kernels.convolve"),
+]
+
+
+@pytest.mark.parametrize("namespace, name, fails", SUBSTITUTIONS)
+def test_scaled_evaluator_fails_exactly_the_checks_that_see_it(monkeypatch, z3x4,
+                                                               namespace, name, fails):
+    if isinstance(namespace, dict):
+        monkeypatch.setitem(namespace, name, _scaled(namespace[name]))
+    else:
+        monkeypatch.setattr(namespace, name, _scaled(getattr(namespace, name)))
+    assert _failed(z3x4) == fails
 
 
 def test_energy_identity_check_shares_signal_work(monkeypatch, z3x4):
