@@ -139,6 +139,22 @@ class FiniteAbelianGroup:
         return th
 
     @cached_property
+    def dft_matrices(self) -> dict[tuple[bool, bool], np.ndarray]:
+        """Complex DFT matrices over G, keyed by (inverse, conjugated).
+
+        The forward matrix is exp(-i theta[u, x]), the inverse exp(i theta)/|G|,
+        each also conjugated.  All four are symmetric, read-only and, for a
+        product group, the Kronecker product of the factors' matrices.
+        """
+        fwd = np.exp(-1j * self.angle_table)
+        inv = fwd.conj() / self.order
+        mats = {(False, False): fwd, (False, True): fwd.conj(),
+                (True, False): inv, (True, True): inv.conj()}
+        for m in mats.values():
+            m.setflags(write=False)
+        return mats
+
+    @cached_property
     def difference_table(self) -> np.ndarray:
         """(order, order) table d[a, b] = index(element_a - element_b)."""
         mods = np.asarray(self.moduli, dtype=np.int64)

@@ -28,13 +28,16 @@ contractions with tabulated characters, one grid axis at a time, in
 O(|G|^3) time per stage and an O(|G|^2) working set.  The ``*_fast``
 evaluators, which match them to 1e-9 relative in the 2-norm, share one core
 (Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
-span{1, mu1}, two in-place full-grid FFTs of z1 +/- mu1*z2 and one add/sub
+span{1, mu1}, two in-place full-grid DFTs of z1 +/- mu1*z2 and one add/sub
 pass, with a first-axis frequency negation ("flip") of the z2 part,
-O(|G|^2 log |G|) in total.  Each kind is three choices (``sqft_fast`` alone
-still runs the equivalent chain rqft_fast(W f) instead of its row):
+O(|G|^2 log |G|) in total.  The DFTs are pocketfft FFTs; up to order
+``signal.DFT_MATRIX_MAX`` they and the add/sub pass are two complex matrix
+products instead, which cost less than the FFT calls there.  Each kind is
+three choices (``sqft_fast`` alone still runs the equivalent chain
+rqft_fast(W f) instead of its row):
 
   kind   FFT    split            z2 flip
-  rqft   fftn   f = z1 + z2*mu2  before the FFTs
+  rqft   fftn   f = z1 + z2*mu2  before the DFTs
   sqft   fftn   f = z1 + z2*mu2  none (it cancels against W)
   lqft   fftn   f = z1 + mu2*z2  after the add/sub pass
   irqft  ifftn  f = z1 + z2*mu2  after
@@ -64,7 +67,7 @@ from .signal import (
     QSpectrum,
     _bin_map,
     _frozen,
-    _grid_fft,
+    _grid_fft_butterfly,
     _swap_rows,
     transform_W,
     transform_beta,
@@ -228,11 +231,12 @@ def _core_maps(axes: AxisPair, left: bool, before: bool):
 def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     """The one fast evaluator, given a kind's row of the module table.
 
-    With z2 already flipped if the row says "before", c = FFT(z1 + mu1 z2)
-    and e(u, v) = FFT(z1 - mu1 z2)(u, -v) give the output planes
-    f1 = (c + e)/2 and f2 = -mu1 (c - e)/2.  Both planes live in the
-    result from the start: the frame components (0, 1) and (2, 3) of each
-    bin, viewed as complex.  The frame change is composed into the entry
+    With z2 already flipped if the row says "before", c = DFT(z1 + mu1 z2)
+    and e(u, v) = DFT(z1 - mu1 z2)(u, -v) give the output planes
+    f1 = (c + e)/2 and f2 = -mu1 (c - e)/2; one ``_grid_fft_butterfly``
+    call takes the planes to (c + e)/2 and (c - e)/2.  Both planes live in
+    the result from the start: the frame components (0, 1) and (2, 3) of
+    each bin, viewed as complex.  The frame change is composed into the entry
     map, which writes the planes straight from the input, and into the
     exit map, which applies -mu1, the left split's sign and the way back
     in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
@@ -245,15 +249,9 @@ def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     out = np.empty(x.values.shape)
     _bin_map(x.values, entry, neg, out)
     planes = out.view(np.complex128)
-    f1, f2 = planes[..., 0], planes[..., 1]
-    _grid_fft(f1, grp, fft, out=f1)
-    _grid_fft(f2, grp, fft, out=f2, mirror=True)
-    # (c, e) -> ((c + e)/2, (c - e)/2) in place
-    np.subtract(f1, f2, out=f2)
-    f2 *= 0.5
-    f1 -= f2
+    _grid_fft_butterfly(planes, grp, fft)
     if flip == "after":
-        _swap_rows(f2, *grp.neg_swaps)
+        _swap_rows(planes[..., 1], *grp.neg_swaps)
     _bin_map(out, exit_, neg, out)
     return out
 

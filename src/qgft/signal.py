@@ -20,6 +20,8 @@ given machine and numpy.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .group import FiniteAbelianGroup, GroupElement
@@ -163,11 +165,12 @@ class QSpectrum(_QGrid):
 
 
 def _lp(values: np.ndarray, p, weight: float) -> float:
+    if p == 2:  # the sum of squared components, without a magnitude array
+        v = values.reshape(-1)
+        return float(np.sqrt(np.dot(v, v) * weight))
     mag = qabs(values)
     if p == 1:
         return float(mag.sum() * weight)
-    if p == 2:
-        return float(np.sqrt((mag * mag).sum() * weight))
     if p in (np.inf, float("inf"), "inf"):
         return float(mag.max())
     raise ValueError(f"unsupported exponent p={p!r}; use 1, 2 or inf")
@@ -227,6 +230,12 @@ def reflect_conj(f: QSignal) -> QSignal:
     return type(f)(f.group, qconj(f.values[neg][:, neg]))
 
 
+# Up to this group order the DFT over G x G is two products with the group's
+# DFT matrices: below it numpy's fixed cost per FFT call outweighs the
+# arithmetic (the crossover is measured in the README's performance notes).
+DFT_MATRIX_MAX = 16
+
+
 def _grid_fft(
     values: np.ndarray,
     group: FiniteAbelianGroup,
@@ -234,16 +243,33 @@ def _grid_fft(
     out=None,
     mirror: bool = False,
 ) -> np.ndarray:
-    """``fft`` over G x G of an ``(n, n, ...)`` array, trailing axes batched.
+    """The DFT ``fft`` over G x G of an ``(n, n, ...)`` array, trailing axes
+    batched.
 
-    The canonical index is row-major with the last coordinate fastest, so
-    reshaping to ``moduli * 2`` gives one axis per cyclic factor.  Every FFT
-    in the library goes through here: ``(n, n)`` complex planes and
-    ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be ``values``
-    itself) receives the result in place.  With ``mirror`` the second
-    frequency comes out negated, X(u, -v): its axes run the opposite
-    direction under the same normalisation, so no gather is needed.
+    Every DFT in the library goes through here, or through
+    ``_grid_fft_butterfly`` for the fast core's planes: ``(n, n)`` complex
+    planes and ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be
+    ``values`` itself) receives the result in place.  With ``mirror`` the
+    second frequency comes out negated, X(u, -v): its transform runs the
+    opposite direction under the same normalisation, so no gather is needed.
+
+    Up to order ``DFT_MATRIX_MAX`` it is one product with
+    ``group.dft_matrices`` per grid axis, the conjugate matrix on axis 1
+    when mirrored.  Above it, pocketfft runs on ``moduli * 2`` axes, one per
+    cyclic factor: the canonical index is row-major with the last coordinate
+    fastest.
     """
+    n = group.order
+    if n <= DFT_MATRIX_MAX:
+        inverse = fft is not np.fft.fftn
+        x = values.reshape(n, n, -1)
+        dest = out.reshape(x.shape, copy=False) if out is not None else (
+            np.empty(x.shape, np.complex128))
+        # the matrices are symmetric: axis 1 of each (n, n) slice is x @ m
+        t = (group.dft_matrices[inverse, False] @ x.reshape(n, -1)).reshape(x.shape)
+        np.matmul(t.transpose(2, 0, 1), group.dft_matrices[inverse, mirror],
+                  out=dest.transpose(2, 0, 1))
+        return dest.reshape(values.shape)
     k = group.rank
     shape = group.moduli * 2 + values.shape[2:]
     x = values.reshape(shape)
@@ -258,6 +284,44 @@ def _grid_fft(
             x = one_d(x, axis=ax, out=dest)
         dest = x
     return x.reshape(values.shape)
+
+
+@lru_cache(maxsize=32)
+def _butterfly_matrix(group: FiniteAbelianGroup, inverse: bool) -> np.ndarray:
+    """The ``(2n, 2n)`` axis-1 matrix of ``_grid_fft_butterfly``.
+
+    A row of pairs, interleaved as in the ``(n, n, 2)`` layout, times it
+    gives ((a m + b conj(m))/2, (a m - b conj(m))/2) for the DFT matrix m.
+    """
+    n = group.order
+    m, mc = (group.dft_matrices[inverse, c] / 2 for c in (False, True))
+    b = np.empty((n, 2, n, 2), np.complex128)
+    b[:, 0, :, 0] = b[:, 0, :, 1] = m
+    b[:, 1, :, 0], b[:, 1, :, 1] = mc, -mc
+    return _frozen(b.reshape(2 * n, 2 * n))
+
+
+def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, fft) -> None:
+    """In place on an ``(n, n, 2)`` complex array of planes a and b: with c
+    the ``fft`` of a and e the mirrored ``fft`` of b, write ((c + e)/2, (c - e)/2).
+
+    Up to order ``DFT_MATRIX_MAX`` this is two matrix products for both
+    planes at once, the add/sub pass folded into the second; above it, two
+    ``_grid_fft`` calls and the pass.
+    """
+    n = group.order
+    if n <= DFT_MATRIX_MAX:
+        inverse = fft is not np.fft.fftn
+        rows = planes.reshape(n, 2 * n, copy=False)
+        np.matmul(group.dft_matrices[inverse, False] @ rows,
+                  _butterfly_matrix(group, inverse), out=rows)
+        return
+    c, e = planes[..., 0], planes[..., 1]
+    _grid_fft(c, group, fft, out=c)
+    _grid_fft(e, group, fft, out=e, mirror=True)
+    np.subtract(c, e, out=e)
+    e *= 0.5
+    c -= e
 
 
 # Row blocks of this many bytes stay in cache across the terms of a bin map,

@@ -332,11 +332,13 @@ def test_spectrum_rendering(tmp_path, z8):
     _, _, pix = read_ppm(str(out))
     assert pix.min() == 255  # uniform white
 
-    write_qsig(str(delta), QSpectrum.delta(z8) * 1e300)
-    assert run("spectrum", delta, out) == 0
-    _, _, pix = read_ppm(str(out))
-    assert pix[4, 4].tolist() == [255, 255, 255]  # zero frequency centered
-    assert pix.sum() == 3 * 255
+    # and whose squared magnitudes underflow to 0
+    for factor in (1e300, 1e-170, 1e-300):
+        write_qsig(str(delta), QSpectrum.delta(z8) * factor)
+        assert run("spectrum", delta, out) == 0
+        _, _, pix = read_ppm(str(out))
+        assert pix[4, 4].tolist() == [255, 255, 255]  # zero frequency centered
+        assert pix.sum() == 3 * 255
 
 
 def test_bench(capsys):

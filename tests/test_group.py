@@ -98,6 +98,19 @@ def test_haar_weights():
         assert g.primal_weight * g.order**2 == float(g.order**2)
 
 
+def test_dft_matrices(z3x4):
+    z3, z4 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((4,))
+    for (inverse, conjugated), m in z3x4.dft_matrices.items():
+        assert not m.flags.writeable
+        # a product group's matrix is the Kronecker product of its factors'
+        parts = (h.dft_matrices[inverse, conjugated] for h in (z3, z4))
+        assert np.allclose(m, np.kron(*parts), rtol=0, atol=1e-15)
+    fwd, inv = z3x4.dft_matrices[False, False], z3x4.dft_matrices[True, False]
+    assert np.allclose(fwd @ inv, np.eye(12), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        fwd[0, 0] = 0
+
+
 def test_character_basic_values(z4):
     zero = z4.zero()
     for x in z4.elements():

@@ -24,7 +24,8 @@ from qgft import (
     translate,
 )
 from qgft.quat import qmul
-from qgft.signal import _NonFiniteError, _grid_fft
+from qgft import signal
+from qgft.signal import _NonFiniteError, _butterfly_matrix, _grid_fft, _grid_fft_butterfly
 
 
 def _convolve_direct(f, g):
@@ -80,6 +81,27 @@ def test_grid_fft_in_place_and_mirrored(rng, moduli, fft):
     _grid_fft(planes[..., 1], g, fft, out=planes[..., 1], mirror=True)
     assert np.allclose(planes[..., 1], want[:, neg], rtol=0, atol=1e-12 * np.abs(want).max())
     assert not planes[..., 0].any()
+
+
+@pytest.mark.parametrize("moduli", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3)])
+@pytest.mark.parametrize("fft", [np.fft.fftn, np.fft.ifftn])
+def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, fft):
+    g = FiniteAbelianGroup(moduli)
+    assert g.order <= signal.DFT_MATRIX_MAX
+    n = g.order
+    x = rng.standard_normal((n, n, 2)) + 1j * rng.standard_normal((n, n, 2))
+    results = []
+    for limit in (signal.DFT_MATRIX_MAX, 0):  # 0: pocketfft at every order
+        monkeypatch.setattr(signal, "DFT_MATRIX_MAX", limit)
+        planes = x.copy()
+        mirrored = _grid_fft(planes[..., 1], g, fft, out=planes[..., 1], mirror=True)
+        assert mirrored.base is planes
+        butterfly = x.copy()
+        _grid_fft_butterfly(butterfly, g, fft)
+        results.append((_grid_fft(x, g, fft), _grid_fft(x[..., 0], g, fft), planes, butterfly))
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not _butterfly_matrix(g, fft is np.fft.ifftn).flags.writeable
 
 
 def test_lp_norms_constant():
