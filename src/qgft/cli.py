@@ -170,13 +170,13 @@ def cmd_spectrum(args) -> int:
     n = F.group.order
     mag = np.sqrt((F.values**2).sum(axis=-1))
     peak = float(mag.max())
-    if 0.0 < peak < np.inf:
+    if 1e-150 < peak < np.inf:  # the squares are normal floats
         img = np.log1p(mag) / np.log1p(peak) * 255.0
-    elif F.values.any():  # the squares overflowed or underflowed; they are
-        # taken again on values scaled by 2**-e, where |values| < 2**e
+    elif F.values.any():  # the squares overflowed or lost bits to underflow;
+        # they are taken again on values scaled by 2**-e, where |values| < 2**e
         e = int(np.frexp(np.abs(F.values).max())[1])
         m = np.sqrt((np.ldexp(F.values, -e) ** 2).sum(axis=-1))
-        if peak:  # log1p(2**e * m) = e*log(2) + log(2**-e + m), all finite
+        if peak == np.inf:  # log1p(2**e * m) = e*log(2) + log(2**-e + m), all finite
             img = e * np.log(2.0) + np.log(np.ldexp(1.0, -e) + m)
         else:  # log1p(x) = x for x this small
             img = m

@@ -23,9 +23,12 @@ Conventions (fixed; every identity below depends on them):
   defined on all signals directly; no density or limiting extension step is
   involved.
 
-The ``*_direct`` evaluators are the oracles: each defining sum is two
-contractions with tabulated characters, one grid axis at a time, in
-O(|G|^3) time per stage and an O(|G|^2) working set.  The ``*_fast``
+The ``*_direct`` evaluators are the oracles.  Each hands one stage runner
+its two stages, (grid axis, kernel side) in the placement above; a stage
+contracts one grid axis with a tabulated character, O(|G|^3) time in an
+O(|G|^2) working set.  The tables are symmetric in (u, x), so forward and
+inverse sums read them as they are; the multiplication pairing runs the
+same stages.  The ``*_fast``
 evaluators, which match them to 1e-9 relative in the 2-norm, share one core
 (Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
 span{1, mu1}, two in-place full-grid DFTs of z1 +/- mu1*z2 and one add/sub
@@ -142,54 +145,52 @@ def _contract(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray
     return np.moveaxis((vt.reshape(-1, 4 * n) @ m).reshape(vt.shape), -2, axis)
 
 
-def _tables(group: FiniteAbelianGroup, axes: AxisPair, forward: bool):
-    """Tables (k1, k2) as [output, summed]: conj(k) forward, k swapped inverse."""
-    if forward:  # conj(exp(mu theta)) = exp(-mu theta)
-        return character_table(group, -axes.mu1), character_table(group, -axes.mu2)
-    k1, k2 = character_table(group, axes.mu1), character_table(group, axes.mu2)
-    return k1.swapaxes(0, 1), k2.swapaxes(0, 1)
+def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarray:
+    """The defining sum over ``x``'s payload: one ``_contract`` per stage.
+
+    A stage (a, left) sums grid axis a against the character along
+    mu_{a+1}, kernel on the left of the payload if ``left``, and stages run
+    in the order given.  Forward sums use conj(exp(mu theta)) =
+    exp(-mu theta); inverse sums use exp(mu theta) and the dual weight.
+    ``angle_table`` is exactly symmetric, so every table is already
+    [output, summed] for both directions.
+    """
+    grp, s = x.group, (1.0 if inverse else -1.0)
+    tables = character_table(grp, s * axes.mu1), character_table(grp, s * axes.mu2)
+    v = x.values
+    for axis, left in stages:
+        v = _contract(v, tables[axis], axis, left)
+    return v * grp.dual_weight if inverse else v
 
 
 def rqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Right-sided transform by its defining sum."""
-    k1c, k2c = _tables(f.group, axes, forward=True)
-    p = _contract(f.values, k1c, 0, left=False)
-    return QSpectrum(f.group, _contract(p, k2c, 1, left=False))
+    return QSpectrum(f.group, _defining_sum(f, axes, ((0, False), (1, False))))
 
 
 def irqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the right-sided transform; kernel order k2 then k1."""
-    k1, k2 = _tables(F.group, axes, forward=False)
-    p = _contract(F.values, k2, 1, left=False)
-    return QSignal(F.group, _contract(p, k1, 0, left=False) * F.group.dual_weight)
+    return QSignal(F.group, _defining_sum(F, axes, ((1, False), (0, False)), inverse=True))
 
 
 def sqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Two-sided (sandwich) transform by its defining sum."""
-    k1c, k2c = _tables(f.group, axes, forward=True)
-    p = _contract(f.values, k1c, 0, left=True)
-    return QSpectrum(f.group, _contract(p, k2c, 1, left=False))
+    return QSpectrum(f.group, _defining_sum(f, axes, ((0, True), (1, False))))
 
 
 def isqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the two-sided transform."""
-    k1, k2 = _tables(F.group, axes, forward=False)
-    p = _contract(F.values, k1, 0, left=True)
-    return QSignal(F.group, _contract(p, k2, 1, left=False) * F.group.dual_weight)
+    return QSignal(F.group, _defining_sum(F, axes, ((0, True), (1, False)), inverse=True))
 
 
 def lqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Left-sided transform: both kernel factors to the left of f."""
-    k1c, k2c = _tables(f.group, axes, forward=True)
-    p = _contract(f.values, k2c, 1, left=True)
-    return QSpectrum(f.group, _contract(p, k1c, 0, left=True))
+    return QSpectrum(f.group, _defining_sum(f, axes, ((1, True), (0, True))))
 
 
 def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the left-sided transform; k1 meets F first, k2 goes left."""
-    k1, k2 = _tables(F.group, axes, forward=False)
-    p = _contract(F.values, k1, 0, left=True)
-    return QSignal(F.group, _contract(p, k2, 1, left=True) * F.group.dual_weight)
+    return QSignal(F.group, _defining_sum(F, axes, ((0, True), (1, True)), inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +340,11 @@ def multiplication_pairing(
     dw = f.group.dual_weight
     lhs = Quaternion.from_array(qmul(F.values, g.values).sum(axis=(0, 1)) * dw)
 
-    # both sums run over a table's first index (u, v), hence the swapped tables
-    stages = {"mu1-mu2": (0, 1), "mu2-mu1": (1, 0)}
+    # the forward sums' stages, both kernels on the right: rqft's order or irqft's
+    stages = {"mu1-mu2": ((0, False), (1, False)), "mu2-mu1": ((1, False), (0, False))}
     if kernel_order not in stages:
         raise ValueError("kernel_order must be 'mu1-mu2' or 'mu2-mu1'")
-    kc = [k.swapaxes(0, 1) for k in _tables(f.group, axes, forward=True)]
-    H = transform_beta(g, axes).values
-    for axis in stages[kernel_order]:
-        H = _contract(H, kc[axis], axis, left=False)
+    H = _defining_sum(transform_beta(g, axes), axes, stages[kernel_order])
     rhs = Quaternion.from_array(qmul(f.values, H).sum(axis=(0, 1)) * dw)
     return lhs, rhs
 

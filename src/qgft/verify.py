@@ -6,7 +6,8 @@ seed and arguments, same report.  Most checks are one of two harness steps:
 keeps the 2-norm).  Inversion: the ``*-inversion`` and ``rqft-unitary-onto``
 checks; Plancherel: ``plancherel-*`` and the ``*parseval*`` checks; the
 RQFT/SQFT relations: ``sqft-reflection-relation``, ``sqft-equals-rqft-*``,
-``isqft-reflection-identity`` and ``adjoint-pairing``.  Meant for desk-scale
+``isqft-reflection-identity`` and ``adjoint-pairing``; convolution:
+``convolution-defining-sum`` at sampled output points.  Meant for desk-scale
 groups: these use the direct evaluators, O(|G|^3) time per stage.  The checks
 look the evaluators up by module name when they run, so the tests show the
 suite's power by substituting a faulty evaluator and pinning what then fails.
@@ -36,7 +37,7 @@ from .qft import (
     rqft_fast,
     sqft_direct,
 )
-from .quat import DEFAULT_AXES, Quaternion, qabs, random_axis_pair
+from .quat import DEFAULT_AXES, Quaternion, qabs, qmul, random_axis_pair
 from .signal import (
     QSignal,
     convolve,
@@ -492,5 +493,21 @@ def run_verification(
     energy_trials = min(trials, 3)
     h.run("energy-identity", "default", 1e-9, energy_identity_check,
           note=f"families x levels 0..4, {energy_trials} signals", trials=energy_trials)
+
+    conv_points = 4  # sampled output points per trial, O(|G|^2) each
+
+    def convolution_defining_sum():
+        f = random_signal(g, rng)
+        gg = random_signal(g, rng)
+        got = convolve(f, gg).values
+        x1, x2 = rng.integers(g.order, size=(conv_points, 2)).T
+        sub = g.difference_table  # sub[a, b] = index(a - b)
+        shifted = gg.values[sub[x1][:, :, None], sub[x2][:, None, :]]  # g(x - y) per x
+        want = qmul(f.values, shifted).sum(axis=(1, 2)) * f.weight
+        err = float(qabs(got[x1, x2] - want).max())
+        return _rel(err, lp_norm(f, 2) * lp_norm(gg, 2))
+
+    h.run("convolution-defining-sum", "default", 1e-10, convolution_defining_sum,
+          note=f"sum_y f(y) g(x - y) at {conv_points} sampled points x")
 
     return h.report

@@ -300,7 +300,7 @@ def test_q2img_clamps(tmp_path, z4):
     assert pix[0, 0, 2] == 128
 
 
-def test_spectrum_rendering(tmp_path, z8):
+def test_spectrum_rendering(rng, tmp_path, z8):
     zero = tmp_path / "z.qsig"
     write_qsig(str(zero), QSpectrum.zeros(z8))
     out = tmp_path / "z.ppm"
@@ -339,6 +339,17 @@ def test_spectrum_rendering(tmp_path, z8):
         _, _, pix = read_ppm(str(out))
         assert pix[4, 4].tolist() == [255, 255, 255]  # zero frequency centered
         assert pix.sum() == 3 * 255
+
+    # a general spectrum renders the same at every scale, also where its
+    # squared magnitudes are subnormal and keep only a few bits
+    values = rng.standard_normal((8, 8, 4))
+    rendered = {}
+    for factor in (1e-140, 1e-155, 1e-162):
+        write_qsig(str(const), QSpectrum(z8, values * factor))
+        assert run("spectrum", const, out) == 0
+        rendered[factor] = read_ppm(str(out))[2].tobytes()
+    assert rendered[1e-155] == rendered[1e-140]
+    assert rendered[1e-162] == rendered[1e-140]
 
 
 def test_bench(capsys):

@@ -10,6 +10,7 @@ from qgft import (
     Quaternion,
     character_table,
     character_value,
+    random_axis_pair,
 )
 from qgft.quat import qabs
 
@@ -165,3 +166,9 @@ def test_character_table_matches_pointwise(rng, z3x4):
         x = g.element_at(int(rng.integers(g.order)))
         want = character_value(u, x, axis).to_array()
         assert np.allclose(table[u.index, x.index], want, atol=1e-15)
+    # exactly symmetric in (u, x): the direct evaluators read one table as
+    # [output, summed] for both the forward and the inverse sums
+    for grp in (g, FiniteAbelianGroup((2, 2, 3))):
+        for ax in (axis, random_axis_pair(rng).mu2):
+            t = character_table(grp, ax)
+            assert np.array_equal(t, t.swapaxes(0, 1))

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qgft import (
     QSignal,
     QSpectrum,
     Quaternion,
+    character_table,
     character_value,
     classical_dft_via_rqft,
     ilqft_direct,
@@ -38,7 +40,7 @@ from qgft import (
 )
 from qgft import signal
 from qgft.qft import _contract, _fast_qft
-from qgft.quat import qmul
+from qgft.quat import qconj, qmul
 
 
 def plane_valued(group, rng, axes=DEFAULT_AXES):
@@ -244,13 +246,43 @@ def test_contract_matches_literal_sum(rng, z3x4):
         np.testing.assert_allclose(_contract(v, k, axis, left), want, rtol=0, atol=1e-12)
 
 
+def test_direct_matches_literal_sums(rng):
+    # the module docstring's kernel placement broadcast over (u, v, x1, x2),
+    # so a wrong side or order in any evaluator's stage list shows
+    g = FiniteAbelianGroup((2, 3))
+    axes = random_axis_pair(rng)
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    k1 = character_table(g, axes.mu1)[:, None, :, None]  # k1[u, x1]
+    k2 = character_table(g, axes.mu2)[None, :, None, :]  # k2[v, x2]
+    c1, c2 = qconj(k1), qconj(k2)
+    fx, Fu = f.values[None, None], F.values[:, :, None, None]
+    forward = {
+        rqft_direct: qmul(qmul(fx, c1), c2),
+        sqft_direct: qmul(qmul(c1, fx), c2),
+        lqft_direct: qmul(qmul(c1, c2), fx),
+    }
+    inverse = {
+        irqft_direct: qmul(qmul(Fu, k2), k1),
+        isqft_direct: qmul(qmul(k1, Fu), k2),
+        ilqft_direct: qmul(qmul(k2, k1), Fu),
+    }
+    for direct, terms in forward.items():
+        np.testing.assert_allclose(direct(f, axes).values, terms.sum(axis=(2, 3)),
+                                   rtol=0, atol=1e-12)
+    for direct, terms in inverse.items():
+        np.testing.assert_allclose(direct(F, axes).values,
+                                   terms.sum(axis=(0, 1)) * g.dual_weight, rtol=0, atol=1e-12)
+
+
 def test_direct_working_set_is_quadratic(rng):
     # the (|G|, |G|, |G|, 4) broadcast temporaries are gone: each call peaks
     # at a small multiple of one (|G|, |G|, 4) payload
     g = FiniteAbelianGroup((64,))
     f, F = random_signal(g, rng), random_spectrum(g, rng)
-    calls = [lambda: rqft_direct(f), lambda: irqft_direct(F),
-             lambda: multiplication_pairing(f, F)]
+    calls = [partial(fn, f) for fn in (rqft_direct, sqft_direct, lqft_direct)]
+    calls += [partial(fn, F) for fn in (irqft_direct, isqft_direct, ilqft_direct)]
+    calls += [partial(multiplication_pairing, f, F, kernel_order=order)
+              for order in ("mu1-mu2", "mu2-mu1")]
     for call in calls:
         call()  # warm the group's cached tables
         tracemalloc.start()

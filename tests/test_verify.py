@@ -60,6 +60,7 @@ CHECKS = [
     ("smoothing-exact-at-full-band", "default", 1e-10),
     ("smoothing-monotone-decay", "default", 1e-12),
     ("energy-identity", "default", 1e-09),
+    ("convolution-defining-sum", "default", 1e-10),
 ]
 
 
@@ -116,8 +117,9 @@ SUBSTITUTIONS = [
                  | _at(["default"], "reflection-involution", "isqft-reflection-identity",
                        "adjoint-pairing"),
                  id="verify.transform_W"),
-    # the one convolve check is a linearity check, so nothing sees the scaling
-    pytest.param(verify, "convolve", set(), id="verify.convolve"),
+    # convolution-left-linearity is linear, so only the defining sum sees it
+    pytest.param(verify, "convolve", {("convolution-defining-sum", "default")},
+                 id="verify.convolve"),
     *[pytest.param(table, kind, {(f"fast-direct-{prefix}{kind.value}", "default")},
                    id=f"{name}.{kind.value}")
       for prefix, name, table in (("", "FORWARD_FAST", qft.FORWARD_FAST),
