@@ -44,7 +44,6 @@ from .signal import (
 )
 from .qft import (
     TransformKind,
-    TransformSelection,
     classical_dft_via_rqft,
     ilqft_direct,
     ilqft_fast,

@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .group import FiniteAbelianGroup
 from .kernels import BUILTIN_FAMILIES, builtin_family, smooth
-from .qft import FORWARD_DIRECT, FORWARD_FAST, TransformKind, TransformSelection
+from .qft import FORWARD_DIRECT, FORWARD_FAST, INVERSE_DIRECT, INVERSE_FAST, TransformKind
 from .quat import DEFAULT_AXES, AxisPair, Quaternion
 from .signal import QSignal, QSpectrum, _NonFiniteError, lp_norm, random_signal
 from .verify import run_verification
@@ -82,40 +82,27 @@ def parse_axes(values) -> AxisPair:
         raise CliError(f"bad axes: {exc}") from exc
 
 
-def _load_primal(path: str) -> QSignal:
+def _load(path: str, cls):
     sig = read_qsig(path)
-    if not isinstance(sig, QSignal):
-        raise CliError(f"{path}: expected a primal-side file, found dual side")
+    if not isinstance(sig, cls):
+        want, found = ("primal", "dual") if cls is QSignal else ("dual", "primal")
+        raise CliError(f"{path}: expected a {want}-side file, found {found} side")
     return sig
-
-
-def _load_dual(path: str) -> QSpectrum:
-    sig = read_qsig(path)
-    if not isinstance(sig, QSpectrum):
-        raise CliError(f"{path}: expected a dual-side file, found primal side")
-    return sig
-
-
-def _selection(args) -> TransformSelection:
-    return TransformSelection(TransformKind(args.kind), parse_axes(args.axes))
 
 
 def cmd_transform(args) -> int:
-    f = _load_primal(args.input)
-    out = _selection(args).forward(f, fast=args.mode == "fast")
-    write_qsig(args.output, out)
-    return 0
-
-
-def cmd_inverse(args) -> int:
-    F = _load_dual(args.input)
-    out = _selection(args).inverse(F, fast=args.mode == "fast")
-    write_qsig(args.output, out)
+    """``transform`` and ``inverse``: the registry entry for direction, mode and kind."""
+    if args.command == "transform":
+        x, fast, direct = _load(args.input, QSignal), FORWARD_FAST, FORWARD_DIRECT
+    else:
+        x, fast, direct = _load(args.input, QSpectrum), INVERSE_FAST, INVERSE_DIRECT
+    table = fast if args.mode == "fast" else direct
+    write_qsig(args.output, table[TransformKind(args.kind)](x, parse_axes(args.axes)))
     return 0
 
 
 def cmd_smooth(args) -> int:
-    f = _load_primal(args.input)
+    f = _load(args.input, QSignal)
     if args.level < 0:
         raise CliError("--level must be >= 0")
     out = smooth(f, builtin_family(args.family), args.level)
@@ -156,7 +143,7 @@ def cmd_img2q(args) -> int:
 
 
 def cmd_q2img(args) -> int:
-    f = _load_primal(args.input)
+    f = _load(args.input, QSignal)
     rgb = np.clip(f.values[..., 1:], 0.0, 1.0)  # the one float temporary
     rgb *= 255.0
     rgb += 0.5
@@ -166,7 +153,7 @@ def cmd_q2img(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    F = _load_dual(args.input)
+    F = _load(args.input, QSpectrum)
     n = F.group.order
     mag = np.sqrt((F.values**2).sum(axis=-1))
     peak = float(mag.max())
@@ -303,7 +290,7 @@ def _dump_args(p) -> None:
 COMMANDS = {
     "transform": (cmd_transform, _transform_args,
                   {"help": "forward transform of a primal QSIG file"}),
-    "inverse": (cmd_inverse, _transform_args,
+    "inverse": (cmd_transform, _transform_args,
                 {"help": "inverse transform of a dual QSIG file"}),
     "smooth": (cmd_smooth, _smooth_args,
                {"help": "convolve with an approximate-identity kernel"}),

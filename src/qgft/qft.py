@@ -58,7 +58,6 @@ and the result is the one payload-sized array the fast core allocates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -78,7 +77,6 @@ from .signal import (
 
 __all__ = [
     "TransformKind",
-    "TransformSelection",
     "rqft_direct",
     "irqft_direct",
     "sqft_direct",
@@ -101,25 +99,6 @@ class TransformKind(Enum):
     RIGHT = "rqft"
     TWO_SIDED = "sqft"
     LEFT = "lqft"
-
-
-@dataclass(frozen=True)
-class TransformSelection:
-    """A transform choice bundled with its (validated) axis pair.
-
-    Dispatches to the matching evaluator in the registry tables below.
-    """
-
-    kind: TransformKind
-    axes: AxisPair = DEFAULT_AXES
-
-    def forward(self, f: QSignal, fast: bool = True) -> QSpectrum:
-        table = FORWARD_FAST if fast else FORWARD_DIRECT
-        return table[self.kind](f, self.axes)
-
-    def inverse(self, F: QSpectrum, fast: bool = True) -> QSignal:
-        table = INVERSE_FAST if fast else INVERSE_DIRECT
-        return table[self.kind](F, self.axes)
 
 
 # ---------------------------------------------------------------------------

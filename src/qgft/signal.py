@@ -54,6 +54,8 @@ class _QGrid:
 
     def __init__(self, group: FiniteAbelianGroup, values) -> None:
         # always copy: grids are immutable value objects, never views
+        if np.iscomplexobj(values):  # the float64 cast would drop imaginary parts
+            raise ValueError("signal values must be real quaternion components")
         self._adopt(group, np.array(values, dtype=np.float64, order="C", copy=True))
 
     @classmethod

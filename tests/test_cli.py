@@ -3,10 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgft import QSignal, QSpectrum, Quaternion, lp_norm, random_signal
-from qgft import cli, verify
+from qgft import (
+    AxisPair,
+    QSignal,
+    QSpectrum,
+    Quaternion,
+    TransformKind,
+    lp_norm,
+    random_axis_pair,
+    random_signal,
+    random_spectrum,
+)
+from qgft import cli, qft, verify
 from qgft.cli import main, parse_group_spec, CliError
-from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
+from qgft.fileio import encode_qsig, read_ppm, read_qsig, write_ppm, write_qsig
 from qgft.kernels import BUILTIN_FAMILIES
 
 
@@ -78,6 +88,26 @@ def test_transform_with_custom_axes(rng, tmp_path, z4):
     assert run("transform", src, out, "--axes", *bad) == 2
 
 
+@pytest.mark.parametrize("command, sample, direction", [
+    ("transform", random_signal, "FORWARD"),
+    ("inverse", random_spectrum, "INVERSE"),
+], ids=["transform", "inverse"])
+def test_dispatch_through_the_registry(command, sample, direction, rng, tmp_path, z3x4):
+    # every kind x mode reaches its own table entry, with the axes as given
+    x = sample(z3x4, rng)
+    src, out = tmp_path / "x.qsig", tmp_path / "y.qsig"
+    write_qsig(str(src), x)
+    for kind in TransformKind:
+        for mode in ("fast", "direct"):
+            table = getattr(qft, f"{direction}_{mode.upper()}")
+            pair = random_axis_pair(rng)
+            vals = [float(c) for mu in (pair.mu1, pair.mu2) for c in mu.to_array()]
+            argv = ("--kind", kind.value, "--mode", mode, "--axes", *map(repr, vals))
+            assert run(command, src, out, *argv) == 0
+            axes = AxisPair(Quaternion(*vals[:4]), Quaternion(*vals[4:]))
+            assert out.read_bytes() == encode_qsig(table[kind](x, axes))
+
+
 def test_side_and_format_errors(rng, tmp_path, z4, capsys):
     f = random_signal(z4, rng)
     primal = tmp_path / "p.qsig"
@@ -116,8 +146,6 @@ def test_directory_paths_exit_2(rng, tmp_path, z4, capsys):
 
 
 def write_and_trim(sig):
-    from qgft.fileio import encode_qsig
-
     return encode_qsig(sig)[:-16]
 
 

@@ -521,22 +521,6 @@ def test_classical_matches_oracle(rng, n):
     assert np.abs(got - quadratic_dft(z)).max() <= 1e-10 * max(1.0, np.abs(z).sum())
 
 
-def test_transform_selection_bundle(rng, z8):
-    from qgft import TransformKind, TransformSelection
-
-    axes = random_axis_pair(rng)
-    sel = TransformSelection(TransformKind.TWO_SIDED, axes)
-    f = random_signal(z8, rng)
-    F = sel.forward(f)
-    assert lp_norm(F - sqft_fast(f, axes), 2) == 0.0
-    assert lp_norm(sel.inverse(F) - f, 2) <= 1e-12 * lp_norm(f, 2)
-    assert lp_norm(sel.forward(f, fast=False) - sqft_direct(f, axes), 2) == 0.0
-    left = TransformSelection(TransformKind.LEFT, axes)
-    for fast in (True, False):
-        back = left.inverse(left.forward(f, fast=fast), fast=fast)
-        assert lp_norm(back - f, 2) <= 1e-12 * lp_norm(f, 2)
-
-
 def test_classical_quaternion_input(rng, z8):
     z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     quat_form = np.zeros((8, 4))

@@ -47,6 +47,8 @@ def test_constructor_validation(z4):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         QSignal(z4, bad)
+    with pytest.raises(ValueError, match="real"):  # the cast would drop the 1j
+        QSignal(z4, np.ones((4, 4, 4)) * 1j)
 
 
 def test_non_finite_error_is_a_value_error(z4):
