@@ -62,7 +62,6 @@ from .qft import (
 from .kernels import (
     BUILTIN_FAMILIES,
     KernelFamily,
-    SpatialKernel,
     builtin_family,
     circular_distance,
     convergence_report,

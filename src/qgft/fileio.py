@@ -13,9 +13,10 @@ QSIG layout (all little-endian):
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
 Readers check the header against the input's size before anything of
-payload size is allocated.  Writers refuse non-finite payloads and go
-through a temp file plus rename, so a failed command never leaves a partial
-output behind.  A file's payload is read straight into the grid's array and
+payload size is allocated, and refuse NaN and Inf.  A grid's payload is
+read-only once checked, so writers check nothing again; they go through a
+temp file plus rename, so a failed command never leaves a partial output
+behind.  A file's payload is read straight into the grid's array and
 written straight from it: one copy each way.
 """
 
@@ -79,8 +80,6 @@ def atomic_write_bytes(path: str, *chunks) -> None:
 
 def _qsig_parts(sig: QSignal | QSpectrum) -> tuple[bytes, np.ndarray]:
     """Header plus moduli, and the C-ordered little-endian payload array."""
-    if not np.isfinite(sig.values).all():
-        raise QsigFormatError("refusing to write non-finite values")
     side = SIDE_DUAL if isinstance(sig, QSpectrum) else SIDE_PRIMAL
     grp = sig.group
     head = _HEADER.pack(MAGIC, VERSION, grp.rank, side, 0) + struct.pack(

@@ -17,6 +17,7 @@ the 2-norm verbatim.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,10 +50,13 @@ class FiniteAbelianGroup:
     def __init__(self, moduli) -> None:
         if isinstance(moduli, int):
             moduli = (moduli,)
-        moduli = tuple(int(n) for n in moduli)
-        if not moduli or any(n < 1 for n in moduli):
-            raise ValueError(f"moduli must be positive integers, got {moduli}")
-        object.__setattr__(self, "moduli", moduli)
+        try:  # operator.index refuses 2.7, which int() would truncate
+            ints = tuple(map(operator.index, moduli))
+        except TypeError:
+            ints = ()
+        if not ints or min(ints) < 1:
+            raise ValueError(f"moduli must be positive integers, got {tuple(moduli)}")
+        object.__setattr__(self, "moduli", ints)
 
     @property
     def order(self) -> int:

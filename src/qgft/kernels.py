@@ -37,7 +37,6 @@ from .qft import rqft_direct
 
 __all__ = [
     "KernelFamily",
-    "SpatialKernel",
     "BUILTIN_FAMILIES",
     "circular_distance",
     "builtin_family",
@@ -93,20 +92,12 @@ def builtin_family(name: str) -> KernelFamily:
     raise ValueError(f"unknown kernel family {name!r}; choose from {BUILTIN_FAMILIES}")
 
 
-@dataclass(frozen=True)
-class SpatialKernel:
-    """A level's spatial kernel; real-valued with unit total mass."""
-
-    level: int
-    values: QSignal
-
-
-def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) -> SpatialKernel:
-    """Spatial kernel of ``family`` at ``level`` on G x G, a real scalar signal."""
+def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) -> QSignal:
+    """Spatial kernel of ``family`` at ``level``: a real scalar signal of unit mass."""
     env = family.envelope(level, group)
     vals = np.zeros((group.order, group.order, 4))
     vals[..., 0] = _grid_fft(np.outer(env, env), group, np.fft.ifftn).real
-    return SpatialKernel(level=level, values=QSignal._own(group, vals))
+    return QSignal._own(group, vals)
 
 
 def _smoothed(

@@ -13,13 +13,16 @@ Convolution order matters and is fixed here once and for all:
 with the left factor's quaternion first.  Quaternion products do not
 commute, so swapping the factors silently changes results.
 
-All operations are pure; signals are treated as immutable value objects,
-so results are deterministic: the same inputs give the same outputs on a
-given machine and numpy.
+Grids are immutable values.  A payload's shape and finiteness are checked
+once, when its grid is built, and the array is read-only from then on; to
+change values, build a new grid.  All operations are pure, so results are
+deterministic: the same inputs give the same outputs on a given machine
+and numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -53,15 +56,15 @@ class _QGrid:
     __slots__ = ("group", "values")
 
     def __init__(self, group: FiniteAbelianGroup, values) -> None:
-        # always copy: grids are immutable value objects, never views
+        # always copy: the caller may still hold ``values`` and write into it
         if np.iscomplexobj(values):  # the float64 cast would drop imaginary parts
             raise ValueError("signal values must be real quaternion components")
         self._adopt(group, np.array(values, dtype=np.float64, order="C", copy=True))
 
     @classmethod
     def _own(cls, group: FiniteAbelianGroup, values: np.ndarray):
-        """Wrap a fresh float64 C-ordered array that nothing else holds,
-        without the defensive copy; the checks still run."""
+        """Wrap a float64 C-ordered array the library has just built, without
+        the defensive copy; the checks still run and the array is frozen."""
         grid = cls.__new__(cls)
         grid._adopt(group, values)
         return grid
@@ -69,13 +72,19 @@ class _QGrid:
     def _adopt(self, group: FiniteAbelianGroup, values: np.ndarray) -> None:
         n = group.order
         if values.shape != (n, n, 4):
-            raise ValueError(
-                f"expected values of shape {(n, n, 4)}, got {values.shape}"
-            )
+            raise ValueError(f"expected values of shape {(n, n, 4)}, got {values.shape}")
         if not np.isfinite(values).all():
             raise _NonFiniteError("signal values must be finite (no NaN/Inf)")
-        self.group = group
-        self.values = values
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", _frozen(values))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; build a new grid")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), (self.group, self.values)
 
     # Per-bin Haar weight of the carrier.
     @property
@@ -84,29 +93,22 @@ class _QGrid:
 
     @classmethod
     def zeros(cls, group: FiniteAbelianGroup):
-        n = group.order
-        return cls(group, np.zeros((n, n, 4)))
+        return cls._own(group, np.zeros((group.order, group.order, 4)))
 
     @classmethod
     def constant(cls, group: FiniteAbelianGroup, q: Quaternion):
-        n = group.order
-        return cls(group, np.broadcast_to(q.to_array(), (n, n, 4)).copy())
+        return cls._own(group, np.full((group.order, group.order, 4), q.to_array()))
 
     @classmethod
     def delta(cls, group: FiniteAbelianGroup, at=(0, 0), value: Quaternion = Quaternion(1.0)):
         """Point mass ``value`` at the bin pair ``at`` (indices or elements)."""
-        i1, i2 = (p.index if isinstance(p, GroupElement) else int(p) for p in at)
-        out = cls.zeros(group)
-        out.values[i1, i2] = value.to_array()
-        return out
+        vals = np.zeros((group.order, group.order, 4))
+        vals[_bin_index(group, at[0]), _bin_index(group, at[1])] = value.to_array()
+        return cls._own(group, vals)
 
     def at(self, x1, x2) -> Quaternion:
-        i1 = x1.index if isinstance(x1, GroupElement) else int(x1)
-        i2 = x2.index if isinstance(x2, GroupElement) else int(x2)
-        return Quaternion.from_array(self.values[i1, i2])
-
-    def copy(self):
-        return type(self)(self.group, self.values.copy())
+        return Quaternion.from_array(
+            self.values[_bin_index(self.group, x1), _bin_index(self.group, x2)])
 
     def _check_same_carrier(self, other: "_QGrid") -> None:
         if type(other) is not type(self) or other.group != self.group:
@@ -117,29 +119,29 @@ class _QGrid:
 
     def __add__(self, other: "_QGrid"):
         self._check_same_carrier(other)
-        return type(self)(self.group, self.values + other.values)
+        return self._own(self.group, self.values + other.values)
 
     def __sub__(self, other: "_QGrid"):
         self._check_same_carrier(other)
-        return type(self)(self.group, self.values - other.values)
+        return self._own(self.group, self.values - other.values)
 
     def __mul__(self, s):
         if isinstance(s, (int, float)):
-            return type(self)(self.group, self.values * float(s))
+            return self._own(self.group, self.values * float(s))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def left_mul(self, q: Quaternion):
         """Pointwise product q * f(x)."""
-        return type(self)(self.group, qmul(q.to_array(), self.values))
+        return self._own(self.group, qmul(q.to_array(), self.values))
 
     def right_mul(self, q: Quaternion):
         """Pointwise product f(x) * q."""
-        return type(self)(self.group, qmul(self.values, q.to_array()))
+        return self._own(self.group, qmul(self.values, q.to_array()))
 
     def conj(self):
-        return type(self)(self.group, qconj(self.values))
+        return self._own(self.group, qconj(self.values))
 
     def flat(self) -> np.ndarray:
         """View of the payload as (order^2, 4), bins in canonical order."""
@@ -210,8 +212,14 @@ def inner_real(f: _QGrid, g: _QGrid) -> float:
     return inner_q(f, g).scalar_part()
 
 
-def _as_element(group: FiniteAbelianGroup, y) -> GroupElement:
-    return y if isinstance(y, GroupElement) else group.element(y)
+def _bin_index(group: FiniteAbelianGroup, p) -> int:
+    """The canonical index of ``p``, an element of ``group`` or an index."""
+    if isinstance(p, GroupElement):
+        return group.index_of(p)  # ValueError for another group's element
+    i = operator.index(p)  # TypeError for a non-integral index
+    if not 0 <= i < group.order:
+        raise IndexError(f"index {i} out of range for group of order {group.order}")
+    return i
 
 
 def translate(f: QSignal, y) -> QSignal:
@@ -220,16 +228,15 @@ def translate(f: QSignal, y) -> QSignal:
     On an abelian domain left and right translation coincide; translation is
     a bin permutation, hence exactly norm-preserving.
     """
-    y1, y2 = (_as_element(f.group, c) for c in y)
-    p1 = f.group.shift_perm(y1)
-    p2 = f.group.shift_perm(y2)
-    return type(f)(f.group, f.values[p1][:, p2])
+    grp = f.group
+    p1, p2 = (grp.shift_perm(c if isinstance(c, GroupElement) else grp.element(c)) for c in y)
+    return type(f)._own(grp, f.values[np.ix_(p1, p2)])
 
 
 def reflect_conj(f: QSignal) -> QSignal:
     """The reflected conjugate f~(x1, x2) = conj(f(-x1, -x2)); an involution."""
     neg = f.group.neg_perm
-    return type(f)(f.group, qconj(f.values[neg][:, neg]))
+    return type(f)._own(f.group, qconj(f.values[np.ix_(neg, neg)]))
 
 
 # Up to this group order the DFT over G x G is two products with the group's
@@ -385,7 +392,7 @@ def _flip_terms(axes: AxisPair, flips) -> tuple:
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
-    """``m`` made read-only, as cached maps are shared by every caller."""
+    """``m`` made read-only: cached maps and grid payloads are shared by every caller."""
     m.setflags(write=False)
     return m
 
@@ -448,10 +455,8 @@ def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
 
 def random_signal(group: FiniteAbelianGroup, rng: np.random.Generator) -> QSignal:
     """Signal with iid standard normal components; handy for property checks."""
-    n = group.order
-    return QSignal(group, rng.standard_normal((n, n, 4)))
+    return QSignal._own(group, rng.standard_normal((group.order, group.order, 4)))
 
 
 def random_spectrum(group: FiniteAbelianGroup, rng: np.random.Generator) -> QSpectrum:
-    n = group.order
-    return QSpectrum(group, rng.standard_normal((n, n, 4)))
+    return QSpectrum._own(group, rng.standard_normal((group.order, group.order, 4)))

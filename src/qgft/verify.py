@@ -437,7 +437,7 @@ def run_verification(
         for fam in families:
             for l in levels:
                 kern = kmod.spatial_kernel(fam, l, g)
-                worst = max(worst, abs(float(kern.values.values[..., 0].sum()) - 1.0))
+                worst = max(worst, abs(float(kern.values[..., 0].sum()) - 1.0))
         return worst
 
     h.run("kernel-total-mass", "default", 1e-10, kernel_total_mass)

@@ -137,7 +137,7 @@ def test_qsig_reader_returns_owned_aligned_arrays(rng, tmp_path, moduli):
     values = back.values
     assert values.dtype == np.float64
     flags = values.flags
-    assert flags.c_contiguous and flags.aligned and flags.writeable
+    assert flags.c_contiguous and flags.aligned and not flags.writeable
     assert flags.owndata  # so not a view of the bytes it was read from
     assert values.tobytes() == sig.values.tobytes()
 
@@ -165,14 +165,43 @@ def test_qsig_reader_takes_stdin(rng, tmp_path, z3x4, how):
     assert out.read_bytes() == encode_qsig(rqft_fast(sig))
 
 
-def test_qsig_writer_rejects_non_finite(z4, tmp_path):
+def test_written_payload_cannot_turn_non_finite(z4, tmp_path):
+    # the writer makes no finiteness pass: a grid cannot change once checked
     sig = QSignal.zeros(z4)
-    sig.values[0, 0, 0] = np.inf
-    out = tmp_path / "bad.qsig"
-    with pytest.raises(QsigFormatError, match="non-finite"):
-        write_qsig(str(out), sig)
-    assert not out.exists()  # no partial file on failure
-    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="read-only"):
+        sig.values[0, 0, 0] = np.inf
+    with pytest.raises(AttributeError, match="immutable"):
+        sig.values = np.full((4, 4, 4), np.inf)
+    out = tmp_path / "z.qsig"
+    write_qsig(str(out), sig)
+    assert out.read_bytes() == encode_qsig(QSignal.zeros(z4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qsig_reader_rejects_non_finite(z4, tmp_path, bad):
+    payload = np.zeros((4, 4, 4))
+    payload[1, 2, 3] = bad
+    data = encode_qsig(QSignal.zeros(z4))[:12] + payload.astype("<f8").tobytes()
+    with pytest.raises(QsigFormatError, match="finite"):
+        decode_qsig(data)
+    path = tmp_path / "bad.qsig"
+    path.write_bytes(data)
+    with pytest.raises(QsigFormatError, match="finite"):
+        read_qsig(str(path))
+    r, w = os.pipe()
+    try:
+        os.write(w, data)  # far below a pipe's buffer
+        os.close(w)
+        with pytest.raises(QsigFormatError, match="finite"):
+            read_qsig(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    out = tmp_path / "out.qsig"
+    res = _run_qgft("transform", path, out)
+    assert res.returncode == 2
+    assert res.stderr.decode().splitlines()[-1] == (
+        "qgft: error: signal values must be finite (no NaN/Inf)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.qsig"]
 
 
 @pytest.mark.parametrize("make, moduli", [

@@ -35,6 +35,11 @@ def test_constructor_validation():
         FiniteAbelianGroup((0,))
     assert FiniteAbelianGroup(6).moduli == (6,)
     assert FiniteAbelianGroup((3, 4)).order == 12
+    for bad in ((2.7,), (3, 2.0), ("3",)):  # int() would truncate or parse these
+        with pytest.raises(ValueError, match="positive integers"):
+            FiniteAbelianGroup(bad)
+    moduli = FiniteAbelianGroup((np.int64(3), 4)).moduli
+    assert moduli == (3, 4) and all(type(n) is int for n in moduli)
 
 
 def test_group_law(z4):

@@ -377,11 +377,9 @@ def test_fast_outputs_own_their_memory(rng, mods):
              (irqft_fast, F), (isqft_fast, F), (ilqft_fast, F)]
     for axes in (DEFAULT_AXES, random_axis_pair(rng)):
         for fast, x in pairs:
-            keep = x.values.copy()
             out = fast(x, axes)
             assert not np.shares_memory(out.values, x.values)
-            out.values[...] = 7.0
-            assert np.array_equal(x.values, keep)
+            assert not out.values.flags.writeable
 
 
 def test_fast_overflow_still_raises(z8):

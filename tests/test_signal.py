@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,8 @@ from qgft import (
     translate,
 )
 from qgft.quat import qmul
-from qgft import signal
+from qgft import kernels, qft, signal
+from qgft.fileio import decode_qsig, encode_qsig, read_qsig, write_qsig
 from qgft.signal import _NonFiniteError, _butterfly_matrix, _grid_fft, _grid_fft_butterfly
 
 
@@ -61,11 +65,96 @@ def test_non_finite_error_is_a_value_error(z4):
 def test_own_skips_the_copy_but_not_the_checks(z4):
     vals = np.zeros((4, 4, 4))
     assert QSignal._own(z4, vals).values is vals
+    assert not vals.flags.writeable  # adopted arrays are frozen
     with pytest.raises(ValueError, match="shape"):
         QSignal._own(z4, np.zeros((4, 4, 3)))
-    vals[1, 2, 3] = np.nan
+    bad = np.zeros((4, 4, 4))
+    bad[1, 2, 3] = np.nan
     with pytest.raises(_NonFiniteError, match="finite"):
-        QSpectrum._own(z4, vals)
+        QSpectrum._own(z4, bad)
+
+
+def test_bins_resolve_through_the_group(z4):
+    z3 = FiniteAbelianGroup((3,))
+    with pytest.raises(ValueError, match="different group"):
+        QSignal.delta(z4, (z3.element(2), 1))
+    with pytest.raises(TypeError):
+        QSignal.delta(z4, (2, 1.7))
+    with pytest.raises(IndexError, match="out of range"):
+        QSpectrum.delta(z4, (0, 4))
+    f = QSignal.delta(z4, (z4.element(3), np.int64(1)), J)
+    assert f.at(3, z4.element(1)) == J and f.at(0, 0) == Quaternion()
+    with pytest.raises(IndexError, match="out of range"):
+        f.at(-1, 0)
+    with pytest.raises(ValueError, match="different group"):
+        f.at(0, z3.element(1))
+    with pytest.raises(TypeError):
+        f.at(3.0, 1)
+
+
+def _grid_producers():
+    """Every public way to get a grid, as name -> make(f, F, path)."""
+
+    def read_back(f, F, path):
+        write_qsig(str(path), F)
+        return read_qsig(str(path))
+
+    fejer = kernels.builtin_family("fejer")
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    makers = {}
+    for name in qft.__all__:  # the 12 evaluators
+        if name.endswith(("_direct", "_fast")):
+            fn, inverse = getattr(qft, name), name.startswith("i")
+            makers[name] = lambda f, F, path, fn=fn, inv=inverse: fn(F if inv else f)
+    makers.update({
+        "QSignal": lambda f, F, path: QSignal(f.group, f.values),
+        "convolve": lambda f, F, path: convolve(f, f),
+        "smooth": lambda f, F, path: kernels.smooth(f, fejer, 1),
+        "spatial_kernel": lambda f, F, path: kernels.spatial_kernel(fejer, 1, f.group),
+        "transform_W": lambda f, F, path: transform_W(f),
+        "transform_beta": lambda f, F, path: transform_beta(F),
+        "translate": lambda f, F, path: translate(f, ((1, 2), (2, 3))),
+        "reflect_conj": lambda f, F, path: reflect_conj(f),
+        "add": lambda f, F, path: f + f,
+        "sub": lambda f, F, path: F - F,
+        "mul": lambda f, F, path: f * 2.0,
+        "rmul": lambda f, F, path: 3 * F,
+        "left_mul": lambda f, F, path: f.left_mul(q),
+        "right_mul": lambda f, F, path: F.right_mul(q),
+        "conj": lambda f, F, path: f.conj(),
+        "zeros": lambda f, F, path: QSpectrum.zeros(f.group),
+        "constant": lambda f, F, path: QSignal.constant(f.group, q),
+        "delta": lambda f, F, path: QSignal.delta(f.group, (1, 2), q),
+        "random_signal": lambda f, F, path: random_signal(f.group, np.random.default_rng(1)),
+        "random_spectrum": lambda f, F, path: random_spectrum(f.group, np.random.default_rng(1)),
+        "read_qsig": read_back,
+        "decode_qsig": lambda f, F, path: decode_qsig(encode_qsig(f)),
+    })
+    return makers
+
+
+_PRODUCERS = _grid_producers()
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCERS))
+def test_every_grid_producer_returns_a_frozen_grid(rng, tmp_path, z3x4, name):
+    f, F = random_signal(z3x4, rng), random_spectrum(z3x4, rng)
+    grid = _PRODUCERS[name](f, F, tmp_path / "g.qsig")
+    assert grid.values.flags.c_contiguous and not grid.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError, match="immutable"):
+        grid.values = np.zeros(grid.values.shape)
+    with pytest.raises(AttributeError, match="immutable"):
+        grid.group = FiniteAbelianGroup((12,))
+
+
+def test_frozen_grids_copy_and_pickle(rng, z3x4):
+    F = random_spectrum(z3x4, rng)
+    for back in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert type(back) is QSpectrum and back.group == F.group
+        assert np.array_equal(back.values, F.values)
+        assert not back.values.flags.writeable
 
 
 @pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4)])
@@ -272,12 +361,10 @@ def test_transform_w(rng, z4):
 
 def test_transform_w_output_owns_its_memory(rng, z8):
     f = random_signal(z8, rng)
-    keep = f.values.copy()
     for axes in (DEFAULT_AXES, random_axis_pair(rng)):
         wf = transform_W(f, axes)
         assert not np.shares_memory(wf.values, f.values)
-        wf.values[...] = 7.0
-        assert np.array_equal(f.values, keep)
+        assert not wf.values.flags.writeable
 
 
 def test_transform_w_isometries(rng, z8):

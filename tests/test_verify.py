@@ -129,6 +129,13 @@ SUBSTITUTIONS = [
                  id="kernels.rqft_direct"),
     pytest.param(kernels, "convolve", {("energy-identity", "default")},
                  id="kernels.convolve"),
+    pytest.param(qft, "rqft_direct", {("multiplication-formula", "default")},
+                 id="qft.rqft_direct"),
+    pytest.param(qft, "transform_beta", {("multiplication-formula", "default")},
+                 id="qft.transform_beta"),
+    pytest.param(qft, "rqft_fast",
+                 {("classical-embedding", "default"), ("fast-direct-sqft", "default")},
+                 id="qft.rqft_fast"),
 ]
 
 
