@@ -12,17 +12,16 @@ QSIG layout (all little-endian):
     ...           payload: |G|^2 * 4 float64, components (w, x, y, z) per
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
-Readers check the header against the input's size before anything of
-payload size is allocated, and refuse NaN and Inf.  A grid's payload is
-read-only once checked, so writers check nothing again; they go through a
-temp file plus rename, so a failed command never leaves a partial output
-behind.  A file's payload is read straight into the grid's array and
-written straight from it: one copy each way.
+Readers check the header (against the input's size, where known up front)
+before anything of payload size is allocated or read, and refuse NaN and
+Inf.  A grid's payload is read-only once checked, so writers check nothing
+again; they go through a temp file plus rename, so a failed command never
+leaves a partial output behind.  A file's payload is read straight into
+the grid's array and written straight from it: one copy each way.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import stat
 import struct
@@ -97,14 +96,15 @@ def write_qsig(path: str, sig: QSignal | QSpectrum) -> None:
     atomic_write_bytes(path, head, memoryview(payload).cast("B"))
 
 
-def _parse_head(head: bytes, size: int):
-    """Check a QSIG header against the input's total ``size`` in bytes.
+def _parse_head(head: bytes, size: int | None):
+    """Check a QSIG header, and against the input's total ``size`` in bytes
+    unless that is None (a stream's size is known only at its end).
 
     ``head`` holds at least the first ``min(size, _MAX_HEAD)`` bytes.
     Returns (grid class, group, payload offset); nothing of payload size
     is allocated.
     """
-    if size < _HEADER.size:
+    if len(head) < _HEADER.size:
         raise QsigFormatError("truncated header")
     magic, version, rank, side, reserved = _HEADER.unpack_from(head, 0)
     if magic != MAGIC:
@@ -119,21 +119,22 @@ def _parse_head(head: bytes, size: int):
         raise QsigFormatError("reserved byte must be 0")
     off = _HEADER.size
     need = off + 4 * rank
-    if size < need:
+    if len(head) < need:
         raise QsigFormatError("truncated moduli block")
     moduli = struct.unpack_from(f"<{rank}I", head, off)
     if any(n < 1 for n in moduli):
         raise QsigFormatError(f"bad moduli {moduli}")
-    # bound the order by the bytes present before it is formatted or used:
-    # 255 moduli of 2**32 - 1 give an order with thousands of digits
-    n = math.prod(moduli)
-    if n > size:
-        raise QsigFormatError(
-            f"payload too short: a group of order above {size} needs more "
-            f"than the {size - need} payload bytes present"
-        )
     group = FiniteAbelianGroup(moduli)
-    _check_length(size, need + n * n * 4 * 8, group)
+    if size is not None:
+        # bound the order by the bytes present before it is formatted or used:
+        # 255 moduli of 2**32 - 1 give an order with thousands of digits
+        n = group.order
+        if n > size:
+            raise QsigFormatError(
+                f"payload too short: a group of order above {size} needs more "
+                f"than the {size - need} payload bytes present"
+            )
+        _check_length(size, need + n * n * 4 * 8, group)
     return (QSpectrum if side == SIDE_DUAL else QSignal), group, need
 
 
@@ -165,7 +166,7 @@ def read_qsig(path: str) -> QSignal | QSpectrum:
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):
-            return decode_qsig(fh.read())  # a pipe's size is known only at its end
+            return decode_qsig(_read_stream(fh))
         size = st.st_size
         cls, group, off = _parse_head(fh.read(_MAX_HEAD), size)
         n = group.order
@@ -175,6 +176,19 @@ def read_qsig(path: str) -> QSignal | QSpectrum:
         _check_length(off + got, size, group)  # the file shrank while read
         # a no-op on little-endian hosts; elsewhere one conversion to native
         return _grid(cls._own, group, np.asarray(values, dtype=np.float64))
+
+
+def _read_stream(fh) -> bytearray:
+    """A stream's bytes: its header is checked as soon as it has arrived, the
+    rest is read in chunks of at most 1 MiB, to one byte past its declared end."""
+    data = bytearray(fh.read(_HEADER.size))
+    if len(data) == _HEADER.size:
+        data += fh.read(4 * data[5])  # the moduli block; byte 5 is the rank
+    _, group, off = _parse_head(data, None)
+    end = off + group.order ** 2 * 4 * 8 + 1
+    while len(data) < end and (chunk := fh.read(min(end - len(data), 1 << 20))):
+        data += chunk
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,18 @@ class FiniteAbelianGroup:
         return GroupElement(self, tuple(coords))
 
     def element_at(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.order:
-            raise IndexError(f"index {index} out of range for group of order {self.order}")
-        return GroupElement(self, tuple(int(c) for c in self.coords_matrix[index]))
+        return GroupElement(self, tuple(int(c) for c in self.coords_matrix[self.index_of(index)]))
 
-    def index_of(self, el: "GroupElement") -> int:
-        if el.group != self:
-            raise ValueError("element belongs to a different group")
-        return int(np.dot(el.coords, self._strides))
+    def index_of(self, p) -> int:
+        """The canonical index of ``p``, an element of this group or an index."""
+        if isinstance(p, GroupElement):
+            if p.group != self:
+                raise ValueError("element belongs to a different group")
+            return int(np.dot(p.coords, self._strides))
+        i = operator.index(p)  # TypeError for a non-integral index
+        if not 0 <= i < self.order:
+            raise IndexError(f"index {i} out of range for group of order {self.order}")
+        return i
 
     def elements(self) -> list["GroupElement"]:
         """All elements in canonical order (last coordinate fastest)."""
@@ -107,17 +111,14 @@ class FiniteAbelianGroup:
     @cached_property
     def coords_matrix(self) -> np.ndarray:
         """(order, rank) int64 matrix of coordinates in canonical order."""
-        grids = np.meshgrid(*(np.arange(n) for n in self.moduli), indexing="ij")
-        m = np.stack([g.reshape(-1) for g in grids], axis=-1).astype(np.int64)
+        m = np.arange(self.order, dtype=np.int64)[:, None] // self._strides % self.moduli
         m.setflags(write=False)
         return m
 
     @cached_property
     def neg_perm(self) -> np.ndarray:
         """Index permutation sending index(x) to index(-x); an involution."""
-        mods = np.asarray(self.moduli, dtype=np.int64)
-        neg = (-self.coords_matrix) % mods
-        p = neg @ self._strides
+        p = ((-self.coords_matrix) % self.moduli) @ self._strides
         p.setflags(write=False)
         return p
 
@@ -161,9 +162,8 @@ class FiniteAbelianGroup:
     @cached_property
     def difference_table(self) -> np.ndarray:
         """(order, order) table d[a, b] = index(element_a - element_b)."""
-        mods = np.asarray(self.moduli, dtype=np.int64)
         c = self.coords_matrix
-        d = (c[:, None, :] - c[None, :, :]) % mods
+        d = (c[:, None, :] - c[None, :, :]) % self.moduli
         tab = d @ self._strides
         tab.setflags(write=False)
         return tab
@@ -172,8 +172,7 @@ class FiniteAbelianGroup:
         """Permutation p with p[index(x)] = index(x + y)."""
         if y.group != self:
             raise ValueError("shift element belongs to a different group")
-        mods = np.asarray(self.moduli, dtype=np.int64)
-        return ((self.coords_matrix + np.asarray(y.coords)) % mods) @ self._strides
+        return ((self.coords_matrix + y.coords) % self.moduli) @ self._strides
 
     def __repr__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.moduli)
@@ -191,7 +190,7 @@ class GroupElement:
             raise ValueError(
                 f"expected {self.group.rank} coordinates, got {len(self.coords)}"
             )
-        reduced = tuple(int(c) % n for c, n in zip(self.coords, self.group.moduli))
+        reduced = tuple(operator.index(c) % n for c, n in zip(self.coords, self.group.moduli))
         object.__setattr__(self, "coords", reduced)
 
     def _check_same_group(self, other: "GroupElement") -> None:

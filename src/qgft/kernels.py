@@ -96,7 +96,7 @@ def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) 
     """Spatial kernel of ``family`` at ``level``: a real scalar signal of unit mass."""
     env = family.envelope(level, group)
     vals = np.zeros((group.order, group.order, 4))
-    vals[..., 0] = _grid_fft(np.outer(env, env), group, np.fft.ifftn).real
+    vals[..., 0] = _grid_fft(np.outer(env, env), group, inverse=True).real
     return QSignal._own(group, vals)
 
 
@@ -112,7 +112,7 @@ def _smoothed(
     for k, env in enumerate(envelopes, 1):
         weight = np.outer(env, env)
         out = np.multiply(spec, weight[..., None], out=spec if k == len(envelopes) else None)
-        _grid_fft(out, group, np.fft.ifftn, out=out)
+        _grid_fft(out, group, inverse=True, out=out)
         yield weight, QSignal._own(group, out.view(np.float64))
 
 

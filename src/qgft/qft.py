@@ -39,13 +39,13 @@ products instead, which cost less than the FFT calls there.  Each kind is
 three choices (``sqft_fast`` alone still runs the equivalent chain
 rqft_fast(W f) instead of its row):
 
-  kind   FFT    split            z2 flip
-  rqft   fftn   f = z1 + z2*mu2  before the DFTs
-  sqft   fftn   f = z1 + z2*mu2  none (it cancels against W)
-  lqft   fftn   f = z1 + mu2*z2  after the add/sub pass
-  irqft  ifftn  f = z1 + z2*mu2  after
-  isqft  ifftn  f = z1 + z2*mu2  none
-  ilqft  ifftn  f = z1 + mu2*z2  before
+  kind   inverse  split            z2 flip
+  rqft   False    f = z1 + z2*mu2  before the DFTs
+  sqft   False    f = z1 + z2*mu2  none (it cancels against W)
+  lqft   False    f = z1 + mu2*z2  after the add/sub pass
+  irqft  True     f = z1 + z2*mu2  after
+  isqft  True     f = z1 + z2*mu2  none
+  ilqft  True     f = z1 + mu2*z2  before
 
 Both paths handle arbitrary axis pairs.  The direct path evaluates
 general-axis characters as defined.  The fast path maps a general frame onto
@@ -208,7 +208,7 @@ def _core_maps(axes: AxisPair, left: bool, before: bool):
     return maps
 
 
-def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
+def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     """The one fast evaluator, given a kind's row of the module table.
 
     With z2 already flipped if the row says "before", c = DFT(z1 + mu1 z2)
@@ -221,7 +221,7 @@ def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     exit map, which applies -mu1, the left split's sign and the way back
     in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
     Apart from the array it returns, nothing of payload size is
-    allocated.  ``ifftn`` normalises by 1/|G|^2.
+    allocated.  The inverse DFTs normalise by 1/|G|^2.
     """
     assert flip in ("before", "after", None), flip
     grp, neg = x.group, x.group.neg_perm
@@ -229,7 +229,7 @@ def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
     out = np.empty(x.values.shape)
     _bin_map(x.values, entry, neg, out)
     planes = out.view(np.complex128)
-    _grid_fft_butterfly(planes, grp, fft)
+    _grid_fft_butterfly(planes, grp, inverse)
     if flip == "after":
         _swap_rows(planes[..., 1], *grp.neg_swaps)
     _bin_map(out, exit_, neg, out)
@@ -237,13 +237,13 @@ def _fast_qft(x, axes: AxisPair, fft, left: bool, flip) -> np.ndarray:
 
 
 def rqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
-    """Right-sided transform: fftn, right split, z2 flip before."""
-    return QSpectrum._own(f.group, _fast_qft(f, axes, np.fft.fftn, False, "before"))
+    """Right-sided transform: forward DFTs, right split, z2 flip before."""
+    return QSpectrum._own(f.group, _fast_qft(f, axes, False, False, "before"))
 
 
 def irqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """Inverse right-sided transform: ifftn, right split, z2 flip after."""
-    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, False, "after"))
+    """Inverse right-sided transform: inverse DFTs, right split, z2 flip after."""
+    return QSignal._own(F.group, _fast_qft(F, axes, True, False, "after"))
 
 
 def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
@@ -252,18 +252,18 @@ def sqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
 
 
 def isqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """Inverse two-sided transform W irqft(F): ifftn, right split, no z2 flip."""
-    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, False, None))
+    """Inverse two-sided transform W irqft(F): inverse, right split, no z2 flip."""
+    return QSignal._own(F.group, _fast_qft(F, axes, True, False, None))
 
 
 def lqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
-    """Left-sided |G|^2 conj(irqft(conj f)): fftn, left split, z2 flip after."""
-    return QSpectrum._own(f.group, _fast_qft(f, axes, np.fft.fftn, True, "after"))
+    """Left-sided |G|^2 conj(irqft(conj f)): forward, left split, z2 flip after."""
+    return QSpectrum._own(f.group, _fast_qft(f, axes, False, True, "after"))
 
 
 def ilqft_fast(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
-    """Inverse left-sided conj(rqft(conj F))/|G|^2: ifftn, left split, before."""
-    return QSignal._own(F.group, _fast_qft(F, axes, np.fft.ifftn, True, "before"))
+    """Inverse left-sided conj(rqft(conj F))/|G|^2: inverse, left split, before."""
+    return QSignal._own(F.group, _fast_qft(F, axes, True, True, "before"))
 
 
 # The transform registry: every kind x direction x mode resolves here.  The

@@ -22,7 +22,6 @@ and numpy.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -103,12 +102,11 @@ class _QGrid:
     def delta(cls, group: FiniteAbelianGroup, at=(0, 0), value: Quaternion = Quaternion(1.0)):
         """Point mass ``value`` at the bin pair ``at`` (indices or elements)."""
         vals = np.zeros((group.order, group.order, 4))
-        vals[_bin_index(group, at[0]), _bin_index(group, at[1])] = value.to_array()
+        vals[group.index_of(at[0]), group.index_of(at[1])] = value.to_array()
         return cls._own(group, vals)
 
     def at(self, x1, x2) -> Quaternion:
-        return Quaternion.from_array(
-            self.values[_bin_index(self.group, x1), _bin_index(self.group, x2)])
+        return Quaternion.from_array(self.values[self.group.index_of(x1), self.group.index_of(x2)])
 
     def _check_same_carrier(self, other: "_QGrid") -> None:
         if type(other) is not type(self) or other.group != self.group:
@@ -212,16 +210,6 @@ def inner_real(f: _QGrid, g: _QGrid) -> float:
     return inner_q(f, g).scalar_part()
 
 
-def _bin_index(group: FiniteAbelianGroup, p) -> int:
-    """The canonical index of ``p``, an element of ``group`` or an index."""
-    if isinstance(p, GroupElement):
-        return group.index_of(p)  # ValueError for another group's element
-    i = operator.index(p)  # TypeError for a non-integral index
-    if not 0 <= i < group.order:
-        raise IndexError(f"index {i} out of range for group of order {group.order}")
-    return i
-
-
 def translate(f: QSignal, y) -> QSignal:
     """Translation (L_y f)(x1, x2) = f(x1 + y1, x2 + y2).
 
@@ -248,12 +236,12 @@ DFT_MATRIX_MAX = 16
 def _grid_fft(
     values: np.ndarray,
     group: FiniteAbelianGroup,
-    fft=np.fft.fftn,
+    inverse: bool = False,
     out=None,
     mirror: bool = False,
 ) -> np.ndarray:
-    """The DFT ``fft`` over G x G of an ``(n, n, ...)`` array, trailing axes
-    batched.
+    """The DFT over G x G of an ``(n, n, ...)`` array, trailing axes batched:
+    the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
     Every DFT in the library goes through here, or through
     ``_grid_fft_butterfly`` for the fast core's planes: ``(n, n)`` complex
@@ -264,13 +252,12 @@ def _grid_fft(
 
     Up to order ``DFT_MATRIX_MAX`` it is one product with
     ``group.dft_matrices`` per grid axis, the conjugate matrix on axis 1
-    when mirrored.  Above it, pocketfft runs on ``moduli * 2`` axes, one per
-    cyclic factor: the canonical index is row-major with the last coordinate
-    fastest.
+    when mirrored.  Above it, pocketfft runs on two axes per cyclic factor
+    Z_m with m > 1 (a length-1 DFT is the identity): the canonical index is
+    row-major with the last coordinate fastest.
     """
     n = group.order
     if n <= DFT_MATRIX_MAX:
-        inverse = fft is not np.fft.fftn
         x = values.reshape(n, n, -1)
         dest = out.reshape(x.shape, copy=False) if out is not None else (
             np.empty(x.shape, np.complex128))
@@ -279,18 +266,17 @@ def _grid_fft(
         np.matmul(t.transpose(2, 0, 1), group.dft_matrices[inverse, mirror],
                   out=dest.transpose(2, 0, 1))
         return dest.reshape(values.shape)
-    k = group.rank
-    shape = group.moduli * 2 + values.shape[2:]
+    moduli = tuple(m for m in group.moduli if m > 1) or (1,)  # order 1: one axis
+    k = len(moduli)
+    shape = moduli * 2 + values.shape[2:]
     x = values.reshape(shape)
     dest = None if out is None else out.reshape(shape, copy=False)
     # fftn's own passes in its axis order, as 1-d calls: that skips its
     # argument handling, which dominates the cost on small grids
-    one_d, opposite = (np.fft.fft, np.fft.ifft) if fft is np.fft.fftn else (np.fft.ifft, np.fft.fft)
     for ax in reversed(range(2 * k)):
-        if mirror and ax >= k:
-            x = opposite(x, axis=ax, norm="forward", out=dest)
-        else:
-            x = one_d(x, axis=ax, out=dest)
+        mirrored = mirror and ax >= k
+        dft = np.fft.fft if inverse == mirrored else np.fft.ifft
+        x = dft(x, axis=ax, norm="forward" if mirrored else None, out=dest)
         dest = x
     return x.reshape(values.shape)
 
@@ -310,9 +296,9 @@ def _butterfly_matrix(group: FiniteAbelianGroup, inverse: bool) -> np.ndarray:
     return _frozen(b.reshape(2 * n, 2 * n))
 
 
-def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, fft) -> None:
+def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, inverse: bool) -> None:
     """In place on an ``(n, n, 2)`` complex array of planes a and b: with c
-    the ``fft`` of a and e the mirrored ``fft`` of b, write ((c + e)/2, (c - e)/2).
+    the ``_grid_fft`` of a and e its mirrored one of b, write ((c + e)/2, (c - e)/2).
 
     Up to order ``DFT_MATRIX_MAX`` this is two matrix products for both
     planes at once, the add/sub pass folded into the second; above it, two
@@ -320,14 +306,13 @@ def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, fft) -> N
     """
     n = group.order
     if n <= DFT_MATRIX_MAX:
-        inverse = fft is not np.fft.fftn
         rows = planes.reshape(n, 2 * n, copy=False)
         np.matmul(group.dft_matrices[inverse, False] @ rows,
                   _butterfly_matrix(group, inverse), out=rows)
         return
     c, e = planes[..., 0], planes[..., 1]
-    _grid_fft(c, group, fft, out=c)
-    _grid_fft(e, group, fft, out=e, mirror=True)
+    _grid_fft(c, group, inverse, out=c)
+    _grid_fft(e, group, inverse, out=e, mirror=True)
     np.subtract(c, e, out=e)
     e *= 0.5
     c -= e
@@ -413,7 +398,7 @@ def convolve(f: QSignal, g: QSignal) -> QSignal:
     out = np.empty_like(A)
     out[..., 0] = A[..., 0] * B[..., 0] - A[..., 1] * Bc[..., 1]
     out[..., 1] = A[..., 0] * B[..., 1] + A[..., 1] * Bc[..., 0]
-    _grid_fft(out, grp, np.fft.ifftn, out=out)
+    _grid_fft(out, grp, inverse=True, out=out)
     return QSignal._own(grp, out.view(np.float64))
 
 

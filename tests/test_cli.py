@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qgft import (
     AxisPair,
+    FiniteAbelianGroup,
     QSignal,
     QSpectrum,
     Quaternion,
@@ -414,6 +415,24 @@ def test_dump_hostile_header_exits_2(tmp_path, capsys):
     assert run("dump", src) == 2
     err = capsys.readouterr().err
     assert "qgft: error:" in err and "Traceback" not in err
+
+
+def test_groups_of_rank_above_32(rng, tmp_path, capsys):
+    # the format allows 255 moduli; numpy takes 32 meshgrid inputs and 64 axes
+    z17 = FiniteAbelianGroup((17,))
+    f = random_signal(z17, rng)
+    for name, moduli in (("a", (17,)), ("b", (17,) + (1,) * 32)):
+        write_qsig(str(tmp_path / f"{name}.qsig"), QSignal(FiniteAbelianGroup(moduli), f.values))
+        for argv in (("transform",), ("transform", "--mode", "direct"), ("smooth",)):
+            out = tmp_path / f"{name}-{'-'.join(argv)}.qsig"
+            assert run(argv[0], tmp_path / f"{name}.qsig", out, *argv[1:]) == 0
+        assert run("dump", tmp_path / f"{name}.qsig") == 0
+    for argv in (("transform",), ("transform", "--mode", "direct"), ("smooth",)):
+        a, b = (read_qsig(str(tmp_path / f"{name}-{'-'.join(argv)}.qsig")) for name in "ab")
+        assert b.group.rank == 33 and a.values.tobytes() == b.values.tobytes()
+    for spec in ("x".join(["17"] + ["1"] * 32), "x".join(["2"] + ["1"] * 70)):
+        assert run("verify", "--group", spec, "--trials", 1) == 0
+    assert capsys.readouterr().out.count("result: PASS (52 checks") == 2
 
 
 @pytest.mark.parametrize("argv, side", [

@@ -2,6 +2,7 @@ import errno
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -202,6 +203,35 @@ def test_qsig_reader_rejects_non_finite(z4, tmp_path, bad):
     assert res.stderr.decode().splitlines()[-1] == (
         "qgft: error: signal values must be finite (no NaN/Inf)")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.qsig"]
+
+
+@pytest.mark.parametrize("head, error", [
+    (encode_qsig(QSignal.zeros(FiniteAbelianGroup((2,)))), "length mismatch"),
+    (bytes(8), "bad magic"),  # what /dev/zero gives
+], ids=["overlong", "zeros"])
+def test_stream_is_read_no_further_than_its_header_allows(tmp_path, head, error):
+    # a valid Z_2 file (12 header bytes, 128 payload bytes) or zeros, then
+    # up to 64 MiB more: the reader must stop long before the end
+    fifo = tmp_path / "in.qsig"
+    os.mkfifo(fifo)
+    sent = []
+
+    def writer():
+        with open(fifo, "wb", buffering=0) as fh:
+            try:
+                sent.append(fh.write(head))
+                block = bytes(1 << 16)
+                for _ in range(1024):
+                    sent.append(fh.write(block))
+            except BrokenPipeError:
+                pass
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    with pytest.raises(QsigFormatError, match=error):
+        read_qsig(str(fifo))
+    thread.join(timeout=60)
+    assert not thread.is_alive() and sum(sent) < 2 << 20
 
 
 @pytest.mark.parametrize("make, moduli", [

@@ -7,10 +7,12 @@ from qgft import (
     DEFAULT_AXES,
     FiniteAbelianGroup,
     I,
+    QSignal,
     Quaternion,
     character_table,
     character_value,
     random_axis_pair,
+    translate,
 )
 from qgft.quat import qabs
 
@@ -57,6 +59,46 @@ def test_cross_group_raises(z4, z8):
         z4.element(1) + z8.element(1)
     with pytest.raises(ValueError):
         z8.index_of(z4.element(1))
+
+
+def test_coordinates_are_exact_integers(z4):
+    # int() would truncate these to the elements 1 and 2
+    for bad in ((1.7,), (2.9,), (2.0,)):
+        with pytest.raises(TypeError):
+            z4.element(bad)
+    with pytest.raises(TypeError):
+        translate(QSignal.delta(z4, (1, 0)), ((1.7,), (0.2,)))
+    assert z4.element((np.int64(3),)).coords == (3,)
+    assert all(type(c) is int for c in z4.element((np.int64(3),)).coords)
+    assert z4.element(-1).coords == (3,)
+    assert FiniteAbelianGroup((3, 5)).element((-1, 7)).coords == (2, 2)
+
+
+def test_index_of_resolves_elements_and_indices(z4, z8):
+    assert z4.index_of(z4.element(3)) == 3 and z4.index_of(np.int64(2)) == 2
+    with pytest.raises(ValueError, match="different group"):
+        z8.index_of(z4.element(1))
+    for bad in (-1, 4):
+        with pytest.raises(IndexError, match="out of range"):
+            z4.index_of(bad)
+        with pytest.raises(IndexError, match="out of range"):
+            z4.element_at(bad)
+    for bad in (1.0, 2.5, "1"):
+        with pytest.raises(TypeError):
+            z4.index_of(bad)
+        with pytest.raises(TypeError):
+            z4.element_at(bad)
+
+
+def test_groups_of_any_rank():
+    # numpy arrays take at most 64 dimensions and np.meshgrid 32 inputs
+    for moduli in ((17,) + (1,) * 32, (2,) + (1,) * 70, (1, 3) + (1,) * 40 + (4, 1)):
+        g = FiniteAbelianGroup(moduli)
+        c = g.coords_matrix
+        assert c.shape == (g.order, g.rank) and not c.flags.writeable
+        assert [el.index for el in g.elements()] == list(range(g.order))
+        assert np.array_equal(c[:, [m > 1 for m in moduli]],
+                              FiniteAbelianGroup(tuple(m for m in moduli if m > 1)).coords_matrix)
 
 
 def test_enumeration_order():

@@ -392,7 +392,7 @@ def test_fast_overflow_still_raises(z8):
 def test_fast_core_rejects_mistyped_flip(rng, z8):
     f = random_signal(z8, rng)
     with pytest.raises(AssertionError):
-        _fast_qft(f, DEFAULT_AXES, np.fft.fftn, False, "befor")
+        _fast_qft(f, DEFAULT_AXES, False, False, "befor")
 
 
 # --- the frame change composed into the fast core --------------------------------

@@ -46,6 +46,14 @@ def test_smoothing_sweep_rejects_bad_arguments():
         assert error.startswith("smoothing_sweep.py: error: "), args
 
 
+def test_output_digest_script():
+    runs = [run_script("output_digest.py") for _ in range(2)]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+        assert re.fullmatch(r"[0-9a-f]{64}\n", res.stdout)
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_module_entry_full_help():
     # argv comes from sys.argv here; an option first builds the full parser
     res = run_python("-m", "qgft", "--help")

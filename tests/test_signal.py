@@ -157,26 +157,33 @@ def test_frozen_grids_copy_and_pickle(rng, z3x4):
         assert not back.values.flags.writeable
 
 
-@pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4)])
-@pytest.mark.parametrize("fft", [np.fft.fftn, np.fft.ifftn])
-def test_grid_fft_in_place_and_mirrored(rng, moduli, fft):
+DIRECTIONS = pytest.mark.parametrize("inverse", [False, True], ids=["fftn", "ifftn"])
+
+
+@pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4), (17, 1), (1, 3, 1, 6)])
+@DIRECTIONS
+def test_grid_fft_in_place_and_mirrored(rng, moduli, inverse):
     g = FiniteAbelianGroup(moduli)
     n, neg = g.order, g.neg_perm
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    want = _grid_fft(x, g, fft)
+    want = _grid_fft(x, g, inverse)
     buf = x.copy()
-    assert _grid_fft(buf, g, fft, out=buf).base is buf and np.allclose(buf, want)
+    assert _grid_fft(buf, g, inverse, out=buf).base is buf and np.allclose(buf, want)
     # a strided plane, as the fast core uses it, and the mirrored second axis
     planes = np.zeros((n, n, 2), dtype=np.complex128)
     planes[..., 1] = x
-    _grid_fft(planes[..., 1], g, fft, out=planes[..., 1], mirror=True)
+    _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1], mirror=True)
     assert np.allclose(planes[..., 1], want[:, neg], rtol=0, atol=1e-12 * np.abs(want).max())
     assert not planes[..., 0].any()
+    # Z_1 factors change neither the canonical order nor any bit of the DFT
+    bare = FiniteAbelianGroup(tuple(m for m in moduli if m > 1) or (1,))
+    assert np.array_equal(want, _grid_fft(x, bare, inverse))
+    assert np.array_equal(planes[..., 1], _grid_fft(x, bare, inverse, mirror=True))
 
 
 @pytest.mark.parametrize("moduli", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3)])
-@pytest.mark.parametrize("fft", [np.fft.fftn, np.fft.ifftn])
-def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, fft):
+@DIRECTIONS
+def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
     g = FiniteAbelianGroup(moduli)
     assert g.order <= signal.DFT_MATRIX_MAX
     n = g.order
@@ -185,14 +192,15 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, fft):
     for limit in (signal.DFT_MATRIX_MAX, 0):  # 0: pocketfft at every order
         monkeypatch.setattr(signal, "DFT_MATRIX_MAX", limit)
         planes = x.copy()
-        mirrored = _grid_fft(planes[..., 1], g, fft, out=planes[..., 1], mirror=True)
+        mirrored = _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1], mirror=True)
         assert mirrored.base is planes
         butterfly = x.copy()
-        _grid_fft_butterfly(butterfly, g, fft)
-        results.append((_grid_fft(x, g, fft), _grid_fft(x[..., 0], g, fft), planes, butterfly))
+        _grid_fft_butterfly(butterfly, g, inverse)
+        results.append((_grid_fft(x, g, inverse), _grid_fft(x[..., 0], g, inverse), planes,
+                        butterfly))
     for got, want in zip(*results):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert not _butterfly_matrix(g, fft is np.fft.ifftn).flags.writeable
+    assert not _butterfly_matrix(g, inverse).flags.writeable
 
 
 def test_lp_norms_constant():
