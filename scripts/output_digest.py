@@ -10,8 +10,10 @@ checked by running this script on both trees and comparing the digests:
 It hashes the twelve transform evaluators under the default and a random
 axis pair on nine groups (the DFT-matrix and the pocketfft paths both),
 ``convolve``, the smoothing functions for every built-in family, the
-energy identity and the ``verify`` JSON report for three groups.  Only
-public names are used, so older trees hash the same way.
+energy identity and the ``verify`` JSON report for three groups.  The
+evaluators and ``convolve`` also run on one group of order 256, where the
+two DFTs of each run on two threads.  Only public names are used, so
+older trees hash the same way.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ from qgft import (
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
               for side in "rsl" for inv in ("", "i")]
 GROUPS = [(1,), (5,), (8,), (3, 4), (2, 2, 3), (16,), (17,), (32,), (4, 8)]
+THREADED_GROUPS = [(8, 32)]  # evaluators and convolve only
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
 
@@ -49,7 +52,7 @@ def main() -> None:
         digest.update(arr.tobytes())
 
     rng = np.random.default_rng(20)
-    for moduli in GROUPS:
+    for moduli in GROUPS + THREADED_GROUPS:
         g = FiniteAbelianGroup(moduli)
         f, F = random_signal(g, rng), random_spectrum(g, rng)
         for axes_label, axes in (("default", qgft.DEFAULT_AXES), ("random", random_axis_pair(rng))):
@@ -57,6 +60,8 @@ def main() -> None:
                 x = F if name.startswith("i") else f
                 add(f"{name}/{g!r}/{axes_label}", getattr(qgft, name)(x, axes).values)
         add(f"convolve/{g!r}", convolve(f, random_signal(g, rng)).values)
+        if moduli in THREADED_GROUPS:
+            continue
         for family in map(builtin_family, BUILTIN_FAMILIES):
             add(f"smooth/{family.name}/{g!r}", smooth(f, family, 2).values)
             add(f"spatial_kernel/{family.name}/{g!r}", spatial_kernel(family, 1, g).values)

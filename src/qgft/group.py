@@ -79,8 +79,12 @@ class FiniteAbelianGroup:
         return GroupElement(self, (0,) * self.rank)
 
     def element(self, coords) -> "GroupElement":
-        if isinstance(coords, int):
-            coords = (coords,)
+        """The element with these coordinates; a bare integer is the one
+        coordinate of a cyclic group."""
+        try:
+            coords = (operator.index(coords),)  # any integer, numpy's too
+        except TypeError:  # a sequence of coordinates
+            pass
         return GroupElement(self, tuple(coords))
 
     def element_at(self, index: int) -> "GroupElement":

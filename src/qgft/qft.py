@@ -33,11 +33,12 @@ evaluators, which match them to 1e-9 relative in the 2-norm, share one core
 (Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
 span{1, mu1}, two in-place full-grid DFTs of z1 +/- mu1*z2 and one add/sub
 pass, with a first-axis frequency negation ("flip") of the z2 part,
-O(|G|^2 log |G|) in total.  The DFTs are pocketfft FFTs; up to order
-``signal.DFT_MATRIX_MAX`` they and the add/sub pass are two complex matrix
-products instead, which cost less than the FFT calls there.  Each kind is
-three choices (``sqft_fast`` alone still runs the equivalent chain
-rqft_fast(W f) instead of its row):
+O(|G|^2 log |G|) in total.  The DFTs are pocketfft FFTs, which run
+concurrently on two threads from order ``signal.PARALLEL_DFT_MIN`` on; up
+to order ``signal.DFT_MATRIX_MAX`` they and the add/sub pass are two
+complex matrix products instead, which cost less than the FFT calls there.
+Each kind is three choices (``sqft_fast`` alone still runs the equivalent
+chain rqft_fast(W f) instead of its row):
 
   kind   inverse  split            z2 flip
   rqft   False    f = z1 + z2*mu2  before the DFTs

@@ -22,7 +22,9 @@ and numpy.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import contextvars
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -232,6 +234,47 @@ def reflect_conj(f: QSignal) -> QSignal:
 # arithmetic (the crossover is measured in the README's performance notes).
 DFT_MATRIX_MAX = 16
 
+# From this group order on, the two independent DFTs of the fast core and of
+# ``convolve`` run on two threads (pocketfft releases the GIL): below it,
+# starting a thread costs more than the overlap saves (the crossover is
+# measured in the README's performance notes).
+PARALLEL_DFT_MIN = 256
+
+
+def _both(first, second, order: int) -> tuple:
+    """``(first(), second())`` for the DFTs of a grid of group order ``order``.
+
+    From ``PARALLEL_DFT_MIN`` on, ``first`` runs on one short-lived worker
+    thread while ``second`` runs here.  The worker is started and joined
+    inside the call, so nothing it does outlives the call, and it runs in a
+    copy of the caller's context, so ``np.errstate`` holds there too.  An
+    exception from either call is raised here once both have finished.  A
+    host that cannot start a thread gets the two calls one after the other.
+    """
+    if order < PARALLEL_DFT_MIN:
+        return first(), second()
+    result = error = None
+
+    def work():
+        nonlocal result, error
+        try:
+            result = first()
+        except BaseException as exc:  # re-raised in the caller
+            error = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    try:
+        worker.start()
+    except RuntimeError:  # no thread to be had
+        return first(), second()
+    try:
+        other = second()
+    finally:
+        worker.join()
+    if error is not None:
+        raise error
+    return result, other
+
 
 def _grid_fft(
     values: np.ndarray,
@@ -302,7 +345,8 @@ def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, inverse: 
 
     Up to order ``DFT_MATRIX_MAX`` this is two matrix products for both
     planes at once, the add/sub pass folded into the second; above it, two
-    ``_grid_fft`` calls and the pass.
+    ``_grid_fft`` calls, concurrent from order ``PARALLEL_DFT_MIN`` on, and
+    the pass.
     """
     n = group.order
     if n <= DFT_MATRIX_MAX:
@@ -311,8 +355,8 @@ def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, inverse: 
                   _butterfly_matrix(group, inverse), out=rows)
         return
     c, e = planes[..., 0], planes[..., 1]
-    _grid_fft(c, group, inverse, out=c)
-    _grid_fft(e, group, inverse, out=e, mirror=True)
+    _both(partial(_grid_fft, c, group, inverse, out=c),
+          partial(_grid_fft, e, group, inverse, out=e, mirror=True), n)
     np.subtract(c, e, out=e)
     e *= 0.5
     c -= e
@@ -388,12 +432,14 @@ def convolve(f: QSignal, g: QSignal) -> QSignal:
     Not commutative in general.  Left H-linear in f.  The payload viewed as
     complex is the symplectic pair of f = a1 + a2*j; with g = b1 + b2*j,
     f * g = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*j (Pei-Ding-Chang),
-    and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).
+    and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).  The DFTs of
+    f and g are independent and run on two threads from order
+    ``PARALLEL_DFT_MIN`` on.
     """
     f._check_same_carrier(g)
     grp, neg = f.group, f.group.neg_perm
-    A = _grid_fft(f.values.view(np.complex128), grp)
-    B = _grid_fft(g.values.view(np.complex128), grp)
+    A, B = _both(partial(_grid_fft, f.values.view(np.complex128), grp),
+                 partial(_grid_fft, g.values.view(np.complex128), grp), grp.order)
     Bc = np.conj(B[np.ix_(neg, neg)])
     out = np.empty_like(A)
     out[..., 0] = A[..., 0] * B[..., 0] - A[..., 1] * Bc[..., 1]

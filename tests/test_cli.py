@@ -15,7 +15,7 @@ from qgft import (
     random_signal,
     random_spectrum,
 )
-from qgft import cli, qft, verify
+from qgft import cli, qft, signal, verify
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import encode_qsig, read_ppm, read_qsig, write_ppm, write_qsig
 from qgft.kernels import BUILTIN_FAMILIES
@@ -435,19 +435,30 @@ def test_groups_of_rank_above_32(rng, tmp_path, capsys):
     assert capsys.readouterr().out.count("result: PASS (52 checks") == 2
 
 
-@pytest.mark.parametrize("argv, side", [
-    (("transform",), "primal"),
-    (("inverse", "--kind", "sqft"), "dual"),
-    (("smooth", "--level", "2"), "primal"),
-], ids=["transform", "inverse", "smooth"])
-def test_overflowing_result_exits_2(tmp_path, capsys, z8, argv, side):
-    # a finite file whose transform or smoothing overflows float64
+# From signal.PARALLEL_DFT_MIN on, one of the fast core's two plane DFTs
+# runs on a worker thread; this group is at or above it.
+THREADED_MODULI = (16, 16)
+
+
+@pytest.mark.parametrize("argv, side, moduli", [
+    (("transform",), "primal", (8,)),
+    (("inverse", "--kind", "sqft"), "dual", (8,)),
+    (("smooth", "--level", "2"), "primal", (8,)),
+    (("transform",), "primal", THREADED_MODULI),
+    (("inverse", "--kind", "sqft"), "dual", THREADED_MODULI),
+], ids=["transform", "inverse", "smooth", "transform-threaded", "inverse-threaded"])
+def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
+    # a finite file whose transform or smoothing overflows float64; the
+    # worker thread must see the command's errstate, or its FFT warns
+    group = FiniteAbelianGroup(moduli)
+    assert moduli != THREADED_MODULI or group.order >= signal.PARALLEL_DFT_MIN
     grid = QSpectrum if side == "dual" else QSignal
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
-    write_qsig(str(src), grid(z8, np.full((8, 8, 4), 1e308)))
+    write_qsig(str(src), grid(group, np.full((group.order, group.order, 4), 1e308)))
     assert run(argv[0], src, out, *argv[1:]) == 2
     err = capsys.readouterr().err
-    assert "qgft: error:" in err and "overflow" in err and "Traceback" not in err
+    assert err.count("qgft: error:") == 1 and "overflow" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists() and not list(tmp_path.rglob(".tmp-*"))
 
 

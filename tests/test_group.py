@@ -71,6 +71,10 @@ def test_coordinates_are_exact_integers(z4):
     assert z4.element((np.int64(3),)).coords == (3,)
     assert all(type(c) is int for c in z4.element((np.int64(3),)).coords)
     assert z4.element(-1).coords == (3,)
+    for i in (np.int64(3), np.uint8(7), np.array(3)):  # any integer, as in index_of
+        assert z4.element(i).coords == (3,) and type(z4.element(i).coords[0]) is int
+    with pytest.raises(TypeError):
+        z4.element(np.float64(3.0))
     assert FiniteAbelianGroup((3, 5)).element((-1, 7)).coords == (2, 2)
 
 

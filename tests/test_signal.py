@@ -1,5 +1,7 @@
 import copy
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from qgft import (
     translate,
 )
 from qgft.quat import qmul
-from qgft import kernels, qft, signal
+from qgft import cli, kernels, qft, signal
 from qgft.fileio import decode_qsig, encode_qsig, read_qsig, write_qsig
 from qgft.signal import _NonFiniteError, _butterfly_matrix, _grid_fft, _grid_fft_butterfly
 
@@ -201,6 +203,84 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
     for got, want in zip(*results):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not _butterfly_matrix(g, inverse).flags.writeable
+
+
+@pytest.mark.parametrize("moduli", [(256,), (8, 32)])
+def test_threaded_dfts_give_the_sequential_bits(monkeypatch, rng, moduli):
+    g = FiniteAbelianGroup(moduli)
+    assert g.order >= signal.PARALLEL_DFT_MIN
+    f, F, h = random_signal(g, rng), random_spectrum(g, rng), random_signal(g, rng)
+    axes = random_axis_pair(rng)
+
+    calls = [(op, f) for op in qft.FORWARD_FAST.values()]
+    calls += [(op, F) for op in qft.INVERSE_FAST.values()]
+
+    def outputs():
+        for op, x in calls:
+            yield op(x).values
+            yield op(x, axes).values
+        yield convolve(f, h).values
+
+    threaded = list(outputs())
+    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", g.order + 1)
+    for got, want in zip(threaded, outputs(), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_both_runs_in_the_callers_context_and_joins(monkeypatch):
+    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", 0)
+    before = threading.active_count()
+
+    def where():
+        return threading.current_thread() is threading.main_thread(), np.geterr()
+
+    with np.errstate(over="ignore", invalid="raise"):
+        (main, err), (main_too, err_too) = signal._both(where, where, 1)
+    assert not main and main_too and err == err_too
+    assert err["over"] == "ignore" and err["invalid"] == "raise"
+    assert threading.active_count() == before
+
+    def fail():
+        raise MemoryError("second")
+
+    def slow():  # still running when the caller's call fails
+        time.sleep(0.05)
+        return "done"
+
+    for first, second, message in ((fail, slow, None), (slow, fail, "second")):
+        with pytest.raises(MemoryError, match=message):
+            signal._both(first, second, 1)
+        assert threading.active_count() == before
+
+    def no_thread(self):  # a host out of threads: both calls run in the caller
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert signal._both(lambda: 1, lambda: 2, 1) == (1, 2)
+
+
+@pytest.mark.parametrize("op", ["rqft_fast", "convolve"])
+def test_worker_errors_reach_the_caller(monkeypatch, rng, tmp_path, capsys, op):
+    g = FiniteAbelianGroup((8, 32))
+    assert g.order >= signal.PARALLEL_DFT_MIN
+    f = random_signal(g, rng)
+
+    def worker_out_of_memory(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker")
+        return _grid_fft(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "_grid_fft", worker_out_of_memory)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker"):
+        convolve(f, f) if op == "convolve" else qft.rqft_fast(f)
+    assert threading.active_count() == before
+    if op == "rqft_fast":
+        write_qsig(str(tmp_path / "f.qsig"), f)
+        assert cli.main(["transform", str(tmp_path / "f.qsig"), str(tmp_path / "F.qsig")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
+        assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
 
 
 def test_lp_norms_constant():
