@@ -15,18 +15,12 @@ from .quat import (
     K,
     ONE,
     Quaternion,
-    component_in_frame,
-    quaternion_in_frame,
     random_axis_pair,
-    symplectic_join,
-    symplectic_split,
 )
 from .group import (
-    DualElement,
     FiniteAbelianGroup,
     GroupElement,
     character_table,
-    character_value,
 )
 from .signal import (
     QSignal,

@@ -22,6 +22,7 @@ the grid's array and written straight from it: one copy each way.
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 import struct
@@ -180,12 +181,16 @@ def read_qsig(path: str) -> QSignal | QSpectrum:
 
 def _read_stream(fh) -> bytearray:
     """A stream's bytes: its header is checked as soon as it has arrived, the
-    rest is read in chunks of at most 1 MiB, to one byte past its declared end."""
+    rest is read to one byte past its declared end."""
     data = bytearray(fh.read(_HEADER.size))
     if len(data) == _HEADER.size:
         data += fh.read(4 * data[5])  # the moduli block; byte 5 is the rank
     _, group, off = _parse_head(data, None)
-    end = off + group.order ** 2 * 4 * 8 + 1
+    return _read_to(fh, data, off + group.order ** 2 * 4 * 8 + 1)
+
+
+def _read_to(fh, data: bytearray, end: int) -> bytearray:
+    """``data`` extended from ``fh`` in chunks of at most 1 MiB, to ``end`` bytes."""
     while len(data) < end and (chunk := fh.read(min(end - len(data), 1 << 20))):
         data += chunk
     return data
@@ -193,6 +198,8 @@ def _read_stream(fh) -> bytearray:
 
 # ---------------------------------------------------------------------------
 # PPM (binary P6, maxval 255)
+
+_PPM_MAX_HEAD = 4096  # a header, comments included, must end within this many bytes
 
 
 def _tokens(data: bytes):
@@ -214,15 +221,14 @@ def _tokens(data: bytes):
         i = j
 
 
-def decode_ppm(data: bytes):
-    """Parse a binary P6 image; returns (width, height, uint8 (h, w, 3))."""
-    it = _tokens(data)
-    try:
-        (magic, _), (w_tok, _), (h_tok, _), (maxval_tok, end) = (
-            next(it), next(it), next(it), next(it),
-        )
-    except StopIteration:
-        raise PpmFormatError("truncated PPM header") from None
+def _ppm_head(data: bytes, size: int | None):
+    """Check a P6 header in the first _PPM_MAX_HEAD bytes of ``data`` and, unless
+    ``size`` is None (a stream), the raster length; returns (width, height, offset)."""
+    head = data[:_PPM_MAX_HEAD]
+    tokens = list(itertools.islice(_tokens(head), 4))
+    if len(tokens) < 4 or tokens[3][1] == len(head) < len(data):  # maxval cut off
+        raise PpmFormatError(f"truncated PPM header (it must end within {_PPM_MAX_HEAD} bytes)")
+    (magic, _), (w_tok, _), (h_tok, _), (maxval_tok, end) = tokens
     if magic != b"P6":
         raise PpmFormatError(f"expected P6 magic, got {magic!r}")
     try:
@@ -233,18 +239,27 @@ def decode_ppm(data: bytes):
         raise PpmFormatError(f"only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise PpmFormatError(f"bad dimensions {width}x{height}")
-    raster = data[end + 1 :]  # exactly one whitespace byte after maxval
-    if len(raster) != width * height * 3:
-        raise PpmFormatError(
-            f"raster length {len(raster)} does not match {width}x{height}"
-        )
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    off = end + 1  # exactly one whitespace byte after maxval
+    if size is not None and (raster := max(size - off, 0)) != width * height * 3:
+        raise PpmFormatError(f"raster length {raster} does not match {width}x{height}")
+    return width, height, off
+
+
+def decode_ppm(data: bytes):
+    """Parse a binary P6 image; returns (width, height, uint8 (h, w, 3))."""
+    width, height, off = _ppm_head(data, len(data))
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=off).reshape(height, width, 3)
     return width, height, pixels
 
 
 def read_ppm(path: str):
+    """Read a P6 file: its header first, then at most the raster and one byte."""
     with open(path, "rb") as fh:
-        return decode_ppm(fh.read())
+        head = fh.read(_PPM_MAX_HEAD + 1)
+        st = os.fstat(fh.fileno())
+        width, height, off = _ppm_head(head, st.st_size if stat.S_ISREG(st.st_mode) else None)
+        end = off + width * height * 3 + 1
+        return decode_ppm(_read_to(fh, bytearray(head[:end]), end))
 
 
 def encode_ppm(pixels: np.ndarray) -> bytes:

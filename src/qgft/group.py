@@ -28,8 +28,6 @@ from .quat import AXIS_TOL, Quaternion
 __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
-    "DualElement",
-    "character_value",
     "character_table",
 ]
 
@@ -221,35 +219,9 @@ class GroupElement:
         return self.group.index_of(self)
 
 
-# A frequency is represented exactly like a point; the alias only documents
-# intent at call sites.
-DualElement = GroupElement
-
-
 def _check_axis(axis: Quaternion) -> None:
     if not axis.is_unit_pure_imaginary(AXIS_TOL):
         raise ValueError(f"character axis must be unit pure-imaginary, got {axis}")
-
-
-def pairing_angle(freq: DualElement, point: GroupElement) -> float:
-    if freq.group != point.group:
-        raise ValueError("frequency and point belong to different groups")
-    return sum(
-        TWO_PI * ((u * x) % n) / n
-        for u, x, n in zip(freq.coords, point.coords, freq.group.moduli)
-    )
-
-
-def character_value(freq: DualElement, point: GroupElement, axis: Quaternion) -> Quaternion:
-    """Value of the frequency-u character at x along ``axis``.
-
-    Returns cos(theta) + axis*sin(theta) with theta the pairing angle; the
-    result is a unit quaternion in the plane span{1, axis}.
-    """
-    _check_axis(axis)
-    th = pairing_angle(freq, point)
-    c, s = math.cos(th), math.sin(th)
-    return Quaternion(c, axis.x * s, axis.y * s, axis.z * s)
 
 
 def character_table(group: FiniteAbelianGroup, axis: Quaternion) -> np.ndarray:

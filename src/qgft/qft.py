@@ -336,26 +336,16 @@ def classical_dft_via_rqft(
 ) -> np.ndarray:
     """Classical 1-d DFT over G recovered from the right-sided transform.
 
-    ``values`` is a length-|G| signal in the plane span{1, mu1}, given
-    either as a complex array (a + b*1j standing for a + b*mu1) or as an
-    (|G|, 4) quaternion array whose mu2/mu3 frame components vanish.  The
-    signal is lifted to G x G as constant in the second variable; the
-    right-sided transform is then sliced at second frequency zero and
-    divided by |G|, which reproduces sum_x f(x) exp(-2*pi*i*u*x/n).
+    ``values`` is a length-|G| complex array, a + b*1j standing for the value
+    a + b*mu1 in the plane span{1, mu1}.  The signal is lifted to G x G as
+    constant in the second variable; the right-sided transform is then
+    sliced at second frequency zero and divided by |G|, which reproduces
+    sum_x f(x) exp(-2*pi*i*u*x/n).
     """
-    v = np.asarray(values)
+    z = np.asarray(values, dtype=np.complex128)
     n = group.order
-    if v.ndim == 2 and v.shape == (n, 4):
-        comp = axes.to_frame(v.astype(np.float64))
-        scale = max(1.0, float(np.abs(comp).max()))
-        if np.abs(comp[:, 2:]).max() > 1e-9 * scale:
-            raise ValueError("signal must take values in the plane span{1, mu1}")
-        z = comp[:, 0] + 1j * comp[:, 1]
-    elif v.ndim == 1 and v.shape == (n,):
-        z = v.astype(np.complex128)
-    else:
-        raise ValueError(f"expected shape ({n},) complex or ({n}, 4), got {v.shape}")
-
+    if z.shape != (n,):
+        raise ValueError(f"expected shape ({n},) complex, got {z.shape}")
     comps = np.zeros((n, n, 4))
     comps[..., 0] = z.real[:, None]
     comps[..., 1] = z.imag[:, None]

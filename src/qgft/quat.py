@@ -32,10 +32,6 @@ __all__ = [
     "qconj",
     "qabs2",
     "qabs",
-    "symplectic_split",
-    "symplectic_join",
-    "component_in_frame",
-    "quaternion_in_frame",
     "random_axis_pair",
 ]
 
@@ -224,39 +220,6 @@ class AxisPair:
 
 
 DEFAULT_AXES = AxisPair(I, J)
-
-
-def component_in_frame(q: Quaternion, axes: AxisPair = DEFAULT_AXES):
-    """Coordinates (a, b, c, d) of q in the frame {1, mu1, mu2, mu3}.
-
-    Equivalently a = Sc(q), b = -Sc(q*mu1), c = -Sc(q*mu2), d = -Sc(q*mu3);
-    reassembly is q = a + b*mu1 + c*mu2 + d*mu3.
-    """
-    a, b, c, d = axes.to_frame(q.to_array())
-    return float(a), float(b), float(c), float(d)
-
-
-def quaternion_in_frame(components, axes: AxisPair = DEFAULT_AXES) -> Quaternion:
-    """Quaternion a + b*mu1 + c*mu2 + d*mu3 from frame coordinates."""
-    return Quaternion.from_array(
-        axes.from_frame(np.asarray(components, dtype=np.float64))
-    )
-
-
-def symplectic_split(q: Quaternion, axes: AxisPair = DEFAULT_AXES):
-    """Split q = c1 + c2*mu2 with c1, c2 in the commutative plane span{1, mu1}.
-
-    The plane elements are returned as complex numbers under the isometry
-    a + b*mu1 <-> a + b*1j.  For the default axes this is the familiar
-    q = (w + x*i) + (y + z*i)*j decomposition.
-    """
-    a, b, c, d = component_in_frame(q, axes)
-    return complex(a, b), complex(c, d)
-
-
-def symplectic_join(c1: complex, c2: complex, axes: AxisPair = DEFAULT_AXES) -> Quaternion:
-    """Inverse of :func:`symplectic_split`."""
-    return quaternion_in_frame((c1.real, c1.imag, c2.real, c2.imag), axes)
 
 
 def random_axis_pair(rng: np.random.Generator) -> AxisPair:

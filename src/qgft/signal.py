@@ -175,7 +175,7 @@ def _lp(values: np.ndarray, p, weight: float) -> float:
     mag = qabs(values)
     if p == 1:
         return float(mag.sum() * weight)
-    if p in (np.inf, float("inf"), "inf"):
+    if p == np.inf:
         return float(mag.max())
     raise ValueError(f"unsupported exponent p={p!r}; use 1, 2 or inf")
 

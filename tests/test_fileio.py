@@ -20,12 +20,14 @@ from qgft import (
     rqft_fast,
 )
 from qgft.fileio import (
+    _PPM_MAX_HEAD,
     PpmFormatError,
     QsigFormatError,
     decode_ppm,
     decode_qsig,
     encode_ppm,
     encode_qsig,
+    read_ppm,
     read_qsig,
     write_qsig,
 )
@@ -98,10 +100,10 @@ def test_qsig_reader_bounds_hostile_header():
         decode_qsig(_HOSTILE_HEADER)
 
 
-def _file_error(path, data):
+def _file_error(path, data, read=read_qsig, error=QsigFormatError):
     path.write_bytes(data)
-    with pytest.raises(QsigFormatError) as info:
-        read_qsig(str(path))
+    with pytest.raises(error) as info:
+        read(str(path))
     return str(info.value)
 
 
@@ -205,14 +207,16 @@ def test_qsig_reader_rejects_non_finite(z4, tmp_path, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.qsig"]
 
 
-@pytest.mark.parametrize("head, error", [
-    (encode_qsig(QSignal.zeros(FiniteAbelianGroup((2,)))), "length mismatch"),
-    (bytes(8), "bad magic"),  # what /dev/zero gives
-], ids=["overlong", "zeros"])
-def test_stream_is_read_no_further_than_its_header_allows(tmp_path, head, error):
-    # a valid Z_2 file (12 header bytes, 128 payload bytes) or zeros, then
-    # up to 64 MiB more: the reader must stop long before the end
-    fifo = tmp_path / "in.qsig"
+@pytest.mark.parametrize("read, head, error", [
+    (read_qsig, encode_qsig(QSignal.zeros(FiniteAbelianGroup((2,)))), "length mismatch"),
+    (read_qsig, bytes(8), "bad magic"),  # what /dev/zero gives
+    (read_ppm, b"P5\n2 2\n255\n", "expected P6 magic"),
+    (read_ppm, b"P6\n2 2\n255\n", "raster length 13 does not match 2x2"),  # 12 bytes due
+], ids=["overlong", "zeros", "ppm-bad-magic", "ppm-overlong"])
+def test_stream_is_read_no_further_than_its_header_allows(tmp_path, read, head, error):
+    # a valid Z_2 file (12 header bytes, 128 payload bytes), zeros or a PPM
+    # header, then up to 64 MiB more: the reader must stop long before the end
+    fifo = tmp_path / "in.fifo"
     os.mkfifo(fifo)
     sent = []
 
@@ -228,8 +232,8 @@ def test_stream_is_read_no_further_than_its_header_allows(tmp_path, head, error)
 
     thread = threading.Thread(target=writer, daemon=True)
     thread.start()
-    with pytest.raises(QsigFormatError, match=error):
-        read_qsig(str(fifo))
+    with pytest.raises((QsigFormatError, PpmFormatError), match=error):
+        read(str(fifo))
     thread.join(timeout=60)
     assert not thread.is_alive() and sum(sent) < 2 << 20
 
@@ -287,6 +291,22 @@ def test_ppm_header_tolerates_comments():
     assert pix.tobytes() == raster
 
 
+def test_ppm_header_must_end_within_limit(tmp_path):
+    # a comment pads the header to exactly _PPM_MAX_HEAD bytes, then to one more
+    path = tmp_path / "long.ppm"
+    for pad in (0, 1):
+        head = b"P6\n#" + b"c" * (_PPM_MAX_HEAD - 13 + pad) + b"\n1 1\n255\n"
+        assert len(head) == _PPM_MAX_HEAD + pad
+        data = head + bytes(3)
+        if pad == 0:
+            path.write_bytes(data)
+            assert decode_ppm(data)[:2] == read_ppm(str(path))[:2] == (1, 1)
+            continue
+        with pytest.raises(PpmFormatError, match="truncated PPM header") as decoded:
+            decode_ppm(data)
+        assert _file_error(path, data, read_ppm, PpmFormatError) == str(decoded.value)
+
+
 def test_ppm_rejects_malformed():
     with pytest.raises(PpmFormatError, match="magic"):
         decode_ppm(b"P5\n2 2\n255\n" + b"\x00" * 12)
@@ -309,6 +329,8 @@ _QSIG_SAMPLES = [
 _PPM_SAMPLES = [
     encode_ppm(np.arange(6, dtype=np.uint8).reshape(1, 2, 3)),
     b"P6\n# c\n1 2\n255\n" + bytes(range(6)),
+    # a header 3 bytes short of _PPM_MAX_HEAD
+    b"P6\n#" + b"c" * (_PPM_MAX_HEAD - 16) + b"\n1 2\n255\n" + bytes(range(6)),
 ]
 _FUZZ = settings(max_examples=150, deadline=None)
 
@@ -359,3 +381,18 @@ def test_read_qsig_matches_decode_qsig(tmp_path, data):
 @given(st.binary(max_size=64) | _mutated(_PPM_SAMPLES) | _truncated(_PPM_SAMPLES))
 def test_decode_ppm_hostile_bytes(data):
     _decodes_or_refuses(decode_ppm, PpmFormatError, data)
+
+
+@settings(_FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=64) | _mutated(_PPM_SAMPLES) | _truncated(_PPM_SAMPLES))
+def test_read_ppm_matches_decode_ppm(tmp_path, data):
+    path = tmp_path / "fuzz.ppm"
+    try:
+        decoded = decode_ppm(data)
+    except PpmFormatError as exc:
+        assert _file_error(path, data, read_ppm, PpmFormatError) == str(exc)
+        return
+    path.write_bytes(data)
+    width, height, pixels = read_ppm(str(path))
+    assert (width, height) == decoded[:2]
+    assert pixels.tobytes() == decoded[2].tobytes()

@@ -10,11 +10,11 @@ from qgft import (
     QSignal,
     Quaternion,
     character_table,
-    character_value,
     random_axis_pair,
     translate,
 )
 from qgft.quat import qabs
+from reference import character_value
 
 coords3 = st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
 

@@ -13,13 +13,15 @@ from qgft import (
     K,
     ONE,
     Quaternion,
+    random_axis_pair,
+)
+from qgft.quat import qconj, qmul
+from reference import (
     component_in_frame,
     quaternion_in_frame,
-    random_axis_pair,
     symplectic_join,
     symplectic_split,
 )
-from qgft.quat import qconj, qmul
 
 # Independent multiplication oracle: expand (a+bi+cj+dk)(a'+b'i+c'j+d'k)
 # into all 16 basis products and fold with this sign/basis table.

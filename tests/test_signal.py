@@ -23,7 +23,6 @@ from qgft import (
     random_signal,
     random_spectrum,
     reflect_conj,
-    symplectic_split,
     transform_W,
     transform_beta,
     translate,
@@ -32,6 +31,7 @@ from qgft.quat import qmul
 from qgft import cli, kernels, qft, signal
 from qgft.fileio import decode_qsig, encode_qsig, read_qsig, write_qsig
 from qgft.signal import _NonFiniteError, _butterfly_matrix, _grid_fft, _grid_fft_butterfly
+from reference import symplectic_split
 
 
 def _convolve_direct(f, g):
