@@ -128,12 +128,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_img2q(args) -> int:
-    width, height, pixels = read_ppm(args.input)
-    if width != height:
-        raise CliError(
-            f"{args.input}: image is {width}x{height}; the domain must be "
-            "G x G, so only square images are accepted"
-        )
+    def square(width, height):  # from the header, before the raster is read
+        if width != height:
+            raise CliError(f"{args.input}: image is {width}x{height}; the domain must "
+                           "be G x G, so only square images are accepted")
+
+    width, _, pixels = read_ppm(args.input, _accept=square)
     group = FiniteAbelianGroup((width,))
     vals = np.empty((width, width, 4))
     vals[..., 0] = 0.0
@@ -182,6 +182,20 @@ DIRECT_BENCH_LIMIT = 48  # direct evaluators are O(N^3) per stage; cap them
 BENCH_GATE_MIN = 8
 
 
+def _best_times(fns, x, repeats: int) -> list[float]:
+    """Each function's fastest of ``repeats`` calls on ``x`` after a warm-up
+    call, interleaved so a brief slowdown of the host hits all alike."""
+    for fn in fns:
+        fn(x)
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for k, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn(x)
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return best
+
+
 def cmd_bench(args) -> int:
     kind = TransformKind(args.kind)
     fast_fn, direct_fn = FORWARD_FAST[kind], FORWARD_DIRECT[kind]
@@ -200,16 +214,7 @@ def cmd_bench(args) -> int:
         group = FiniteAbelianGroup((n,))
         f = random_signal(group, rng)
         gated = BENCH_GATE_MIN <= n <= DIRECT_BENCH_LIMIT
-        fns = (fast_fn, direct_fn) if gated else (fast_fn,)
-        for fn in fns:
-            fn(f)  # warm up caches (character tables, FFT plans)
-        best = [float("inf")] * len(fns)
-        # interleaved, so a brief slowdown of the host hits both sides alike
-        for _ in range(args.repeats):
-            for k, fn in enumerate(fns):
-                t0 = time.perf_counter()
-                fn(f)
-                best[k] = min(best[k], time.perf_counter() - t0)
+        best = _best_times((fast_fn, direct_fn) if gated else (fast_fn,), f, args.repeats)
         t_fast = best[0]
         if gated:
             t_direct = best[1]

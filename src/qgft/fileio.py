@@ -252,12 +252,14 @@ def decode_ppm(data: bytes):
     return width, height, pixels
 
 
-def read_ppm(path: str):
-    """Read a P6 file: its header first, then at most the raster and one byte."""
+def read_ppm(path: str, *, _accept=lambda width, height: None):
+    """Read a P6 file: its header first, then at most the raster and one byte.
+    ``_accept(width, height)`` may raise to refuse the image from its header."""
     with open(path, "rb") as fh:
         head = fh.read(_PPM_MAX_HEAD + 1)
         st = os.fstat(fh.fileno())
         width, height, off = _ppm_head(head, st.st_size if stat.S_ISREG(st.st_mode) else None)
+        _accept(width, height)
         end = off + width * height * 3 + 1
         return decode_ppm(_read_to(fh, bytearray(head[:end]), end))
 

@@ -228,10 +228,14 @@ def character_table(group: FiniteAbelianGroup, axis: Quaternion) -> np.ndarray:
     """(order, order, 4) table K[u, x] of character values along ``axis``."""
     _check_axis(axis)
     th = group.angle_table
-    c, s = np.cos(th), np.sin(th)
-    out = np.empty(th.shape + (4,), dtype=np.float64)
-    out[..., 0] = c
-    out[..., 1] = axis.x * s
-    out[..., 2] = axis.y * s
-    out[..., 3] = axis.z * s
+    return _characters(np.cos(th), np.sin(th), axis)
+
+
+def _characters(cos: np.ndarray, sin: np.ndarray, axis: Quaternion) -> np.ndarray:
+    """cos + axis * sin, entry by entry, as a ``cos.shape + (4,)`` table."""
+    out = np.empty(cos.shape + (4,), dtype=np.float64)
+    out[..., 0] = cos
+    out[..., 1] = axis.x * sin
+    out[..., 2] = axis.y * sin
+    out[..., 3] = axis.z * sin
     return out

@@ -34,9 +34,9 @@ evaluators, which match them to 1e-9 relative in the 2-norm, share one core
 span{1, mu1}, two in-place full-grid DFTs of z1 +/- mu1*z2 and one add/sub
 pass, with a first-axis frequency negation ("flip") of the z2 part,
 O(|G|^2 log |G|) in total.  The DFTs are pocketfft FFTs, which run
-concurrently on two threads from order ``signal.PARALLEL_DFT_MIN`` on; up
-to order ``signal.DFT_MATRIX_MAX`` they and the add/sub pass are two
-complex matrix products instead, which cost less than the FFT calls there.
+concurrently on two threads from order ``signal.PARALLEL_DFT_MIN`` on.  Up
+to order ``signal.DFT_MATRIX_MAX`` the whole core, maps and flips included,
+is two real products with cached matrices instead, cheaper there.
 Each kind is three choices (``sqft_fast`` alone still runs the equivalent
 chain rqft_fast(W f) instead of its row):
 
@@ -54,16 +54,20 @@ the standard one through the algebra isomorphism of the frame change
 (Ell-Sangwine), composed into its entry map (frame change, then split) and
 its exit map (-mu1, the split's sign, frame change back), so every axis
 pair costs the same.  Those maps run by row blocks straight into the result,
-and the result is the one payload-sized array the fast core allocates.
+and above ``signal.DFT_MATRIX_MAX`` the result is the one payload-sized array
+the fast core allocates; below it, the core's one temporary is two payloads
+(16 KB at order 16).
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .group import FiniteAbelianGroup, character_table
+from . import signal
+from .group import FiniteAbelianGroup, _characters
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
 from .signal import (
     QSignal,
@@ -107,6 +111,8 @@ class TransformKind(Enum):
 
 
 _HAMILTON = qmul(np.eye(4)[:, None], np.eye(4))  # [b, c] = e_b * e_c, e = 1, i, j, k
+# per kernel side, [b, (c, a)]: component a of e_b * e_c (left) or e_c * e_b
+_HAMILTON_SIDES = {True: _HAMILTON.reshape(4, 16), False: _HAMILTON.swapaxes(0, 1).reshape(4, 16)}
 
 
 def _contract(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray:
@@ -115,14 +121,17 @@ def _contract(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray
     Returns out with ``axis`` re-indexed by u: sum_x k[u, x] * v(.., x, ..)
     if ``left``, else sum_x v(.., x, ..) * k[u, x].  Multiplication by each
     k[u, x] is a real 4x4 matrix, so the whole sum is one ``(4n, 4n)``
-    matrix product: O(n^3) time in an O(n^2) working set.
+    matrix product: O(n^3) time in an O(n^2) working set.  It is built by
+    one product too, and plain transposes move the axes: on tiny grids,
+    ``tensordot``'s and ``moveaxis``'s argument handling cost more than that.
     """
     n = k.shape[0]
     # m[(x, c), (u, a)] = component a of k[u, x] * e_c (left) or e_c * k[u, x]
-    m = np.tensordot(k, _HAMILTON, axes=(2, 0 if left else 1))
+    m = (k.reshape(n * n, 4) @ _HAMILTON_SIDES[left]).reshape(n, n, 4, 4)
     m = m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
-    vt = np.moveaxis(v, axis, -2)
-    return np.moveaxis((vt.reshape(-1, 4 * n) @ m).reshape(vt.shape), -2, axis)
+    vt = v.transpose(1, 0, 2) if axis == 0 else v
+    out = (vt.reshape(-1, 4 * n) @ m).reshape(vt.shape)
+    return out.transpose(1, 0, 2) if axis == 0 else out
 
 
 def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarray:
@@ -133,10 +142,12 @@ def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarra
     in the order given.  Forward sums use conj(exp(mu theta)) =
     exp(-mu theta); inverse sums use exp(mu theta) and the dual weight.
     ``angle_table`` is exactly symmetric, so every table is already
-    [output, summed] for both directions.
+    [output, summed] for both directions; both tables share one cos and
+    one sin of it.
     """
     grp, s = x.group, (1.0 if inverse else -1.0)
-    tables = character_table(grp, s * axes.mu1), character_table(grp, s * axes.mu2)
+    cos, sin = np.cos(grp.angle_table), np.sin(grp.angle_table)
+    tables = _characters(cos, sin, s * axes.mu1), _characters(cos, sin, s * axes.mu2)
     v = x.values
     for axis, left in stages:
         v = _contract(v, tables[axis], axis, left)
@@ -221,13 +232,20 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     map, which writes the planes straight from the input, and into the
     exit map, which applies -mu1, the left split's sign and the way back
     in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
-    Apart from the array it returns, nothing of payload size is
-    allocated.  The inverse DFTs normalise by 1/|G|^2.
+    The inverse DFTs normalise by 1/|G|^2.  Above ``DFT_MATRIX_MAX`` nothing
+    of payload size is allocated but the result; up to it, the whole core is
+    two products with ``_tiny_core``'s matrices, and one two-payload temporary.
     """
     assert flip in ("before", "after", None), flip
-    grp, neg = x.group, x.group.neg_perm
-    entry, exit_ = _core_maps(axes, left, flip == "before")
+    grp, n = x.group, x.group.order
     out = np.empty(x.values.shape)
+    if n <= signal.DFT_MATRIX_MAX:
+        right, dft = _tiny_core(grp, axes, inverse, left, flip)
+        terms = (x.values.reshape(n, 4 * n) @ right).reshape(2 * n, 4 * n)
+        np.matmul(dft, terms, out=out.reshape(n, 4 * n))
+        return out
+    neg = grp.neg_perm
+    entry, exit_ = _core_maps(axes, left, flip == "before")
     _bin_map(x.values, entry, neg, out)
     planes = out.view(np.complex128)
     _grid_fft_butterfly(planes, grp, inverse)
@@ -235,6 +253,41 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
         _swap_rows(planes[..., 1], *grp.neg_swaps)
     _bin_map(out, exit_, neg, out)
     return out
+
+
+@lru_cache(maxsize=8)  # an entry is up to 68 KB; ``verify`` uses 6 per run
+def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: bool, flip):
+    """The matrices of ``_fast_qft`` up to ``DFT_MATRIX_MAX``, on a payload X
+    of order n viewed as ``(n, 4n)``.  Apart from the axis-0 DFT D, every
+    step of the core (maps, axis-1 DFTs, add/sub pass) acts on the right of
+    a row of X, so the core is Re D X R_0 + Im D X R_1.  The first-variable
+    negation P acts on the left, and P Re D = Re D P = Re D while
+    P Im D = Im D P = -Im D: a flip only changes the sign of the Im D term,
+    in the entry's flipped part "before" and in the f2 plane "after".
+
+    Returns R = [R_0 | R_1], ``(4n, 8n)``, and D's real and imaginary parts
+    interleaved by column, ``(n, 2n)``, so that ``(X @ R).reshape(2n, 4n)``
+    is the second product's right factor.  Keyed on the group, the cache is
+    bounded here, not on the axis pair: ``Z_1`` factors make infinitely many
+    groups of one order.
+    """
+    n = group.order
+    ((_, _, plain), *flipped), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")
+    mixed = flipped[0][2] if flipped else 0.0  # the entry's row-flipped part
+    d = group.dft_matrices[inverse, False]
+    # [x, p, v]: the axis-1 DFT that takes plane component p at x2 = x to v
+    dfts = np.stack([d, d.conj()], axis=1)[:, [0, 0, 1, 1]]
+    rights = []
+    for k, enter in enumerate((plain + mixed, plain - mixed)):
+        s = -1.0 if k and flip == "after" else 1.0
+        # [p, q]: a unit in (re a, im a, re b, im b)[p], times the i of Im D,
+        # into plane q: (c + e)/2 or (c - e)/2, the latter sign-flipped "after"
+        coef = 0.5 * 1j ** k * np.array([[1, s], [1j, 1j * s], [1, -s], [1j, -1j * s]])
+        g = (dfts[..., None] * coef[:, None, :]).view(np.float64)
+        g = (enter @ g.reshape(n, 4, 4 * n)).reshape(n, 4, n, 4) @ exit_
+        rights.append(g.reshape(4 * n, 4 * n))
+    dft = np.stack([d.real, d.imag], axis=-1).reshape(n, 2 * n)
+    return _frozen(np.concatenate(rights, axis=1)), _frozen(dft)
 
 
 def rqft_fast(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -230,8 +230,9 @@ def reflect_conj(f: QSignal) -> QSignal:
 
 
 # Up to this group order the DFT over G x G is two products with the group's
-# DFT matrices: below it numpy's fixed cost per FFT call outweighs the
-# arithmetic (the crossover is measured in the README's performance notes).
+# DFT matrices, and the fast core of ``qft`` two products with its own: below
+# it numpy's fixed cost per FFT call outweighs the arithmetic (the crossover
+# is measured in the README's performance notes).
 DFT_MATRIX_MAX = 16
 
 # From this group order on, the two independent DFTs of the fast core and of
@@ -286,9 +287,9 @@ def _grid_fft(
     """The DFT over G x G of an ``(n, n, ...)`` array, trailing axes batched:
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
-    Every DFT in the library goes through here, or through
-    ``_grid_fft_butterfly`` for the fast core's planes: ``(n, n)`` complex
-    planes and ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be
+    Every DFT in the library goes through here (the fast core's matrices
+    take in its DFTs up to ``DFT_MATRIX_MAX``): ``(n, n)`` complex planes
+    and ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be
     ``values`` itself) receives the result in place.  With ``mirror`` the
     second frequency comes out negated, X(u, -v): its transform runs the
     opposite direction under the same normalisation, so no gather is needed.
@@ -324,39 +325,14 @@ def _grid_fft(
     return x.reshape(values.shape)
 
 
-@lru_cache(maxsize=32)
-def _butterfly_matrix(group: FiniteAbelianGroup, inverse: bool) -> np.ndarray:
-    """The ``(2n, 2n)`` axis-1 matrix of ``_grid_fft_butterfly``.
-
-    A row of pairs, interleaved as in the ``(n, n, 2)`` layout, times it
-    gives ((a m + b conj(m))/2, (a m - b conj(m))/2) for the DFT matrix m.
-    """
-    n = group.order
-    m, mc = (group.dft_matrices[inverse, c] / 2 for c in (False, True))
-    b = np.empty((n, 2, n, 2), np.complex128)
-    b[:, 0, :, 0] = b[:, 0, :, 1] = m
-    b[:, 1, :, 0], b[:, 1, :, 1] = mc, -mc
-    return _frozen(b.reshape(2 * n, 2 * n))
-
-
 def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, inverse: bool) -> None:
     """In place on an ``(n, n, 2)`` complex array of planes a and b: with c
-    the ``_grid_fft`` of a and e its mirrored one of b, write ((c + e)/2, (c - e)/2).
-
-    Up to order ``DFT_MATRIX_MAX`` this is two matrix products for both
-    planes at once, the add/sub pass folded into the second; above it, two
-    ``_grid_fft`` calls, concurrent from order ``PARALLEL_DFT_MIN`` on, and
-    the pass.
-    """
-    n = group.order
-    if n <= DFT_MATRIX_MAX:
-        rows = planes.reshape(n, 2 * n, copy=False)
-        np.matmul(group.dft_matrices[inverse, False] @ rows,
-                  _butterfly_matrix(group, inverse), out=rows)
-        return
+    the ``_grid_fft`` of a and e its mirrored one of b, write ((c + e)/2, (c - e)/2):
+    two ``_grid_fft`` calls, concurrent from order ``PARALLEL_DFT_MIN`` on,
+    and the add/sub pass."""
     c, e = planes[..., 0], planes[..., 1]
     _both(partial(_grid_fft, c, group, inverse, out=c),
-          partial(_grid_fft, e, group, inverse, out=e, mirror=True), n)
+          partial(_grid_fft, e, group, inverse, out=e, mirror=True), group.order)
     np.subtract(c, e, out=e)
     e *= 0.5
     c -= e

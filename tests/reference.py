@@ -1,10 +1,11 @@
-"""Scalar reference versions of the library's array code, for tests only.
+"""Reference versions of the library's array code, for tests only.
 
-Each function computes one value the library computes for a whole array
+Most functions compute one value the library computes for a whole array
 at once: the frame coordinates and symplectic split of a single quaternion
 (``AxisPair.to_frame``/``from_frame`` on one entry) and one character value
 or pairing angle (one entry of ``character_table``/``angle_table``).  The
-tests use them as pointwise oracles.
+tests use them as pointwise oracles.  The last three are the defining sum
+in its earlier array form, which the oracle must match bit for bit.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from qgft.group import TWO_PI, GroupElement, _check_axis
+from qgft.qft import _HAMILTON
 from qgft.quat import DEFAULT_AXES, AxisPair, Quaternion
 
 
@@ -67,3 +69,36 @@ def character_value(freq: GroupElement, point: GroupElement, axis: Quaternion) -
     th = pairing_angle(freq, point)
     c, s = math.cos(th), math.sin(th)
     return Quaternion(c, axis.x * s, axis.y * s, axis.z * s)
+
+
+def character_table_own_trig(group, axis: Quaternion) -> np.ndarray:
+    """``character_table`` taking its own cos and sin of the angle table."""
+    _check_axis(axis)
+    th = group.angle_table
+    c, s = np.cos(th), np.sin(th)
+    out = np.empty(th.shape + (4,), dtype=np.float64)
+    out[..., 0] = c
+    out[..., 1] = axis.x * s
+    out[..., 2] = axis.y * s
+    out[..., 3] = axis.z * s
+    return out
+
+
+def contract_tensordot(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray:
+    """``qft._contract`` through ``np.tensordot`` and ``np.moveaxis``."""
+    n = k.shape[0]
+    m = np.tensordot(k, _HAMILTON, axes=(2, 0 if left else 1))
+    m = m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
+    vt = np.moveaxis(v, axis, -2)
+    return np.moveaxis((vt.reshape(-1, 4 * n) @ m).reshape(vt.shape), -2, axis)
+
+
+def defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarray:
+    """``qft._defining_sum`` from one table per axis and the contraction above."""
+    grp, s = x.group, (1.0 if inverse else -1.0)
+    tables = (character_table_own_trig(grp, s * axes.mu1),
+              character_table_own_trig(grp, s * axes.mu2))
+    v = x.values
+    for axis, left in stages:
+        v = contract_tensordot(v, tables[axis], axis, left)
+    return v * grp.dual_weight if inverse else v

@@ -442,7 +442,8 @@ THREADED_MODULI = (16, 16)
 
 @pytest.mark.parametrize("argv, side, moduli", [
     (("transform",), "primal", (8,)),
-    (("inverse", "--kind", "sqft"), "dual", (8,)),
+    # above DFT_MATRIX_MAX, where the inverse DFTs sum before they scale
+    (("inverse", "--kind", "sqft"), "dual", (17,)),
     (("smooth", "--level", "2"), "primal", (8,)),
     (("transform",), "primal", THREADED_MODULI),
     (("inverse", "--kind", "sqft"), "dual", THREADED_MODULI),
@@ -460,6 +461,19 @@ def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
     assert err.count("qgft: error:") == 1 and "overflow" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists() and not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_tiny_inverse_weights_before_it_sums(tmp_path):
+    # up to DFT_MATRIX_MAX the dual weight rides in the fast core's matrices,
+    # so an inverse whose exact result is representable does not overflow
+    group = FiniteAbelianGroup((8,))
+    assert group.order <= signal.DFT_MATRIX_MAX
+    src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
+    write_qsig(str(src), QSpectrum(group, np.full((8, 8, 4), 1e308)))
+    assert run("inverse", src, out, "--kind", "sqft") == 0
+    ones = QSpectrum.constant(group, Quaternion(1.0, 1.0, 1.0, 1.0))
+    want = qft.isqft_direct(ones).values * 1e308  # 1e308 at bin (0, 0), 0 elsewhere
+    assert np.abs(read_qsig(str(out)).values - want).max() <= 1e-15 * 1e308
 
 
 def test_dump(rng, tmp_path, capsys, z3x4):

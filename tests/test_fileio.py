@@ -19,6 +19,7 @@ from qgft import (
     random_spectrum,
     rqft_fast,
 )
+from qgft.cli import main
 from qgft.fileio import (
     _PPM_MAX_HEAD,
     PpmFormatError,
@@ -216,6 +217,24 @@ def test_qsig_reader_rejects_non_finite(z4, tmp_path, bad):
 def test_stream_is_read_no_further_than_its_header_allows(tmp_path, read, head, error):
     # a valid Z_2 file (12 header bytes, 128 payload bytes), zeros or a PPM
     # header, then up to 64 MiB more: the reader must stop long before the end
+    fifo, sent = _feed_fifo(tmp_path, head)
+    with pytest.raises((QsigFormatError, PpmFormatError), match=error):
+        read(str(fifo))
+    assert sent() < 2 << 20
+
+
+def test_img2q_refuses_a_non_square_stream_from_its_header(tmp_path, capsys):
+    # a 20000x10000 header with 600 MB of raster due: refused before any is read
+    fifo, sent = _feed_fifo(tmp_path, b"P6\n20000 10000\n255\n")
+    assert main(["img2q", str(fifo), str(tmp_path / "out.qsig")]) == 2
+    assert "only square images are accepted" in capsys.readouterr().err
+    assert sent() < 2 << 20
+
+
+def _feed_fifo(tmp_path, head):
+    """A FIFO that a thread feeds ``head`` and then 64 MiB of zeros, until the
+    reader closes it; and a function that waits for the thread and returns
+    how many bytes it sent."""
     fifo = tmp_path / "in.fifo"
     os.mkfifo(fifo)
     sent = []
@@ -232,10 +251,13 @@ def test_stream_is_read_no_further_than_its_header_allows(tmp_path, read, head, 
 
     thread = threading.Thread(target=writer, daemon=True)
     thread.start()
-    with pytest.raises((QsigFormatError, PpmFormatError), match=error):
-        read(str(fifo))
-    thread.join(timeout=60)
-    assert not thread.is_alive() and sum(sent) < 2 << 20
+
+    def total():
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return sum(sent)
+
+    return fifo, total
 
 
 @pytest.mark.parametrize("make, moduli", [

@@ -37,10 +37,10 @@ from qgft import (
     transform_W,
     transform_beta,
 )
-from qgft import signal
+from qgft import qft, signal
 from qgft.qft import _contract, _fast_qft
 from qgft.quat import qconj, qmul
-from reference import character_value
+from reference import character_value, defining_sum
 
 
 def plane_valued(group, rng, axes=DEFAULT_AXES):
@@ -274,6 +274,31 @@ def test_direct_matches_literal_sums(rng):
                                    terms.sum(axis=(0, 1)) * g.dual_weight, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mods", [(1,), (5,), (3, 4), (2, 2, 3), (16,)])
+def test_oracle_matches_its_earlier_form_bit_for_bit(monkeypatch, rng, mods):
+    # every direct evaluator's stage list and both pairing orders, against
+    # per-table characters and the tensordot/moveaxis contraction
+    g = FiniteAbelianGroup(mods)
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    calls = [partial(fn, f) for fn in (rqft_direct, sqft_direct, lqft_direct)]
+    calls += [partial(fn, F) for fn in (irqft_direct, isqft_direct, ilqft_direct)]
+    calls += [partial(multiplication_pairing, f, F, kernel_order=order)
+              for order in ("mu1-mu2", "mu2-mu1")]
+
+    def arrays(result):
+        if isinstance(result, tuple):
+            return np.stack([q.to_array() for q in result])
+        return result.values
+
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        got = [arrays(call(axes=axes)) for call in calls]
+        with monkeypatch.context() as m:
+            m.setattr(qft, "_defining_sum", defining_sum)
+            want = [arrays(call(axes=axes)) for call in calls]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_direct_working_set_is_quadratic(rng):
     # the (|G|, |G|, |G|, 4) broadcast temporaries are gone: each call peaks
     # at a small multiple of one (|G|, |G|, 4) payload
@@ -410,7 +435,35 @@ def _rel_gap(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("mods", [(1,), (2,), (8,), (3, 4), (2, 2, 3), (6,)])
+@pytest.mark.parametrize("mods", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3), (1, 2, 1, 3)])
+def test_tiny_core_matches_the_pocketfft_core(monkeypatch, rng, mods):
+    # up to DFT_MATRIX_MAX the whole core is two matrix products; a limit of 0
+    # runs the maps, FFTs and row swap at every order
+    g = FiniteAbelianGroup(mods)
+    assert g.order <= signal.DFT_MATRIX_MAX
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        for op in FRAME_OPS[:6]:
+            x = _op_input(op, g, rng)
+            tiny = op(x, axes).values
+            with monkeypatch.context() as m:
+                m.setattr(signal, "DFT_MATRIX_MAX", 0)
+                assert _rel_gap(tiny, op(x, axes).values) <= 1e-13, op.__name__
+
+
+def test_tiny_core_cache_is_bounded(rng):
+    # Z_1 factors make infinitely many groups of one order, and the default
+    # axis pair lives as long as the module
+    rqft_fast(random_signal(FiniteAbelianGroup((4,)), rng))
+    pair_maps = len(DEFAULT_AXES._maps)
+    for k in range(1, 101):
+        rqft_fast(random_signal(FiniteAbelianGroup((1,) * k + (4,)), rng))
+    info = qft._tiny_core.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert len(DEFAULT_AXES._maps) == pair_maps
+
+
+# (4, 5) is above DFT_MATRIX_MAX, where the maps run as blocked bin maps
+@pytest.mark.parametrize("mods", [(1,), (2,), (8,), (3, 4), (2, 2, 3), (6,), (4, 5)])
 def test_composed_frame_change_matches_two_steps(rng, mods):
     # the old path as oracle: into the frame, the default-axes op, back out
     g = FiniteAbelianGroup(mods)
@@ -424,7 +477,7 @@ def test_composed_frame_change_matches_two_steps(rng, mods):
 @pytest.mark.parametrize("block_bytes", [1, 1000])
 def test_blocked_maps_match_one_block(rng, monkeypatch, block_bytes):
     # 1 byte: one row (or row pair) per block; 1000 bytes: 2 to 5 rows, some blocks short
-    for mods in [(8,), (3, 4), (6,), (2, 2, 3)]:
+    for mods in [(8,), (3, 4), (6,), (2, 2, 3), (4, 5)]:
         g = FiniteAbelianGroup(mods)
         for axes in (DEFAULT_AXES, random_axis_pair(rng)):
             for op in FRAME_OPS:

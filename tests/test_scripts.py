@@ -54,6 +54,17 @@ def test_output_digest_script():
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_gate_margin_script():
+    res = run_script("gate_margin.py", "--repeats", 3)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["N=16", "N=32"]
+    for line in lines:
+        assert re.fullmatch(r"N=\d+ +direct/fast median +[\d.]+ +p1 +[\d.]+ +min +[\d.]+"
+                            r" +failures \d+/3", line), line
+    assert run_script("gate_margin.py", "--repeats", 0).returncode == 2
+
+
 def test_module_entry_full_help():
     # argv comes from sys.argv here; an option first builds the full parser
     res = run_python("-m", "qgft", "--help")
