@@ -30,14 +30,12 @@ GATE_REPEATS = 2  # its --repeats
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=300)
-    ap.add_argument("--kind", choices=[k.value for k in TransformKind], default="rqft")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
-    kind = TransformKind(args.kind)
-    fns = (FORWARD_FAST[kind], FORWARD_DIRECT[kind])
-    rng = np.random.default_rng(args.seed)
+    # ``qgft bench``'s default kind and seed
+    fns = (FORWARD_FAST[TransformKind.RIGHT], FORWARD_DIRECT[TransformKind.RIGHT])
+    rng = np.random.default_rng(0)
     ratios = {n: [] for n in SIZES}
     for _ in range(args.repeats):
         for n in SIZES:

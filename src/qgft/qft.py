@@ -28,17 +28,16 @@ its two stages, (grid axis, kernel side) in the placement above; a stage
 contracts one grid axis with a tabulated character, O(|G|^3) time in an
 O(|G|^2) working set.  The tables are symmetric in (u, x), so forward and
 inverse sums read them as they are; the multiplication pairing runs the
-same stages.  The ``*_fast``
-evaluators, which match them to 1e-9 relative in the 2-norm, share one core
-(Pei-Ding-Chang, Ell-Sangwine): a symplectic split into z1, z2 in the plane
-span{1, mu1}, two in-place full-grid DFTs of z1 +/- mu1*z2 and one add/sub
-pass, with a first-axis frequency negation ("flip") of the z2 part,
-O(|G|^2 log |G|) in total.  The DFTs are pocketfft FFTs, which run
-concurrently on two threads from order ``signal.PARALLEL_DFT_MIN`` on.  Up
-to order ``signal.DFT_MATRIX_MAX`` the whole core, maps and flips included,
-is two real products with cached matrices instead, cheaper there.
-Each kind is three choices (``sqft_fast`` alone still runs the equivalent
-chain rqft_fast(W f) instead of its row):
+same stages.  The ``*_fast`` evaluators, which match them to 1e-9 relative
+in the 2-norm, share one core (Pei-Ding-Chang, Ell-Sangwine): a symplectic
+split into z1, z2 in the plane span{1, mu1}, two in-place full-grid DFTs of
+z1 +/- mu1*z2 and one add/sub pass, with a first-axis frequency negation
+("flip") of the z2 part, O(|G|^2 log |G|) in total.  The DFTs are pocketfft
+FFTs, which run concurrently on two threads from order
+``signal.PARALLEL_DFT_MIN`` on.  Up to order ``TINY_CORE_MAX`` the whole
+core, maps and flips included, is two real products with cached matrices
+instead, cheaper there.  Each kind is three choices (``sqft_fast`` alone
+still runs the equivalent chain rqft_fast(W f) instead of its row):
 
   kind   inverse  split            z2 flip
   rqft   False    f = z1 + z2*mu2  before the DFTs
@@ -54,9 +53,8 @@ the standard one through the algebra isomorphism of the frame change
 (Ell-Sangwine), composed into its entry map (frame change, then split) and
 its exit map (-mu1, the split's sign, frame change back), so every axis
 pair costs the same.  Those maps run by row blocks straight into the result,
-and above ``signal.DFT_MATRIX_MAX`` the result is the one payload-sized array
-the fast core allocates; below it, the core's one temporary is two payloads
-(16 KB at order 16).
+and above ``TINY_CORE_MAX`` the result is the one payload-sized array the
+fast core allocates; up to it, the core's one temporary is two payloads.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import signal
 from .group import FiniteAbelianGroup, _characters
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
 from .signal import (
@@ -187,6 +184,11 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # ---------------------------------------------------------------------------
 # fast paths
 
+# Up to this group order the fast core is ``_tiny_core``'s two products: their
+# 40 n^3 multiply-adds cost less than pocketfft's many small calls (the
+# crossover is measured in the README's performance notes).
+TINY_CORE_MAX = 32
+
 
 def _core_maps(axes: AxisPair, left: bool, before: bool):
     """A kind's entry and exit ``_bin_map`` terms, frame change included.
@@ -232,32 +234,31 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     map, which writes the planes straight from the input, and into the
     exit map, which applies -mu1, the left split's sign and the way back
     in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
-    The inverse DFTs normalise by 1/|G|^2.  Above ``DFT_MATRIX_MAX`` nothing
+    The inverse DFTs normalise by 1/|G|^2.  Above ``TINY_CORE_MAX`` nothing
     of payload size is allocated but the result; up to it, the whole core is
     two products with ``_tiny_core``'s matrices, and one two-payload temporary.
     """
     assert flip in ("before", "after", None), flip
     grp, n = x.group, x.group.order
     out = np.empty(x.values.shape)
-    if n <= signal.DFT_MATRIX_MAX:
+    if n <= TINY_CORE_MAX:
         right, dft = _tiny_core(grp, axes, inverse, left, flip)
         terms = (x.values.reshape(n, 4 * n) @ right).reshape(2 * n, 4 * n)
         np.matmul(dft, terms, out=out.reshape(n, 4 * n))
         return out
-    neg = grp.neg_perm
     entry, exit_ = _core_maps(axes, left, flip == "before")
-    _bin_map(x.values, entry, neg, out)
+    _bin_map(x.values, entry, grp.neg_perm, out)
     planes = out.view(np.complex128)
     _grid_fft_butterfly(planes, grp, inverse)
     if flip == "after":
         _swap_rows(planes[..., 1], *grp.neg_swaps)
-    _bin_map(out, exit_, neg, out)
+    _bin_map(out, exit_, grp.neg_perm, out)
     return out
 
 
-@lru_cache(maxsize=8)  # an entry is up to 68 KB; ``verify`` uses 6 per run
+@lru_cache(maxsize=8)  # an entry is up to 272 KB; ``verify`` uses 6 per run
 def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: bool, flip):
-    """The matrices of ``_fast_qft`` up to ``DFT_MATRIX_MAX``, on a payload X
+    """The matrices of ``_fast_qft`` up to ``TINY_CORE_MAX``, on a payload X
     of order n viewed as ``(n, 4n)``.  Apart from the axis-0 DFT D, every
     step of the core (maps, axis-1 DFTs, add/sub pass) acts on the right of
     a row of X, so the core is Re D X R_0 + Im D X R_1.  The first-variable
@@ -266,10 +267,9 @@ def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: b
     in the entry's flipped part "before" and in the f2 plane "after".
 
     Returns R = [R_0 | R_1], ``(4n, 8n)``, and D's real and imaginary parts
-    interleaved by column, ``(n, 2n)``, so that ``(X @ R).reshape(2n, 4n)``
-    is the second product's right factor.  Keyed on the group, the cache is
-    bounded here, not on the axis pair: ``Z_1`` factors make infinitely many
-    groups of one order.
+    interleaved by column, ``(n, 2n)``: ``(X @ R).reshape(2n, 4n)`` is the
+    second product's right factor.  Keyed on the group, the cache is bounded,
+    as one on the axis pair is not: Z_1 factors make endless groups of one order.
     """
     n = group.order
     ((_, _, plain), *flipped), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")

@@ -288,7 +288,7 @@ def _grid_fft(
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
     Every DFT in the library goes through here (the fast core's matrices
-    take in its DFTs up to ``DFT_MATRIX_MAX``): ``(n, n)`` complex planes
+    take in its DFTs up to ``qft.TINY_CORE_MAX``): ``(n, n)`` complex planes
     and ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be
     ``values`` itself) receives the result in place.  With ``mirror`` the
     second frequency comes out negated, X(u, -v): its transform runs the

@@ -442,8 +442,8 @@ THREADED_MODULI = (16, 16)
 
 @pytest.mark.parametrize("argv, side, moduli", [
     (("transform",), "primal", (8,)),
-    # above DFT_MATRIX_MAX, where the inverse DFTs sum before they scale
-    (("inverse", "--kind", "sqft"), "dual", (17,)),
+    # above qft.TINY_CORE_MAX, where the inverse DFTs sum before they scale
+    (("inverse", "--kind", "sqft"), "dual", (33,)),
     (("smooth", "--level", "2"), "primal", (8,)),
     (("transform",), "primal", THREADED_MODULI),
     (("inverse", "--kind", "sqft"), "dual", THREADED_MODULI),
@@ -464,10 +464,10 @@ def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
 
 
 def test_tiny_inverse_weights_before_it_sums(tmp_path):
-    # up to DFT_MATRIX_MAX the dual weight rides in the fast core's matrices,
+    # up to TINY_CORE_MAX the dual weight rides in the fast core's matrices,
     # so an inverse whose exact result is representable does not overflow
     group = FiniteAbelianGroup((8,))
-    assert group.order <= signal.DFT_MATRIX_MAX
+    assert group.order <= qft.TINY_CORE_MAX
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
     write_qsig(str(src), QSpectrum(group, np.full((8, 8, 4), 1e308)))
     assert run("inverse", src, out, "--kind", "sqft") == 0
