@@ -18,13 +18,15 @@ file-format or path error, an order whose payload no array can hold, or a
 host out of memory.  Output files are written atomically; no partial file
 survives a failure.
 
-A command builds only its own subparser, so help, usage and error text are
-those of the full parser.
+Each command's parser holds only its own subparser and is built once per
+process; help, usage and error text are those of the full parser, formatted
+when they are printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -281,7 +283,7 @@ def _verify_args(p) -> None:
 
 
 def _bench_args(p) -> None:
-    p.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128, 256])
+    p.add_argument("--sizes", type=int, nargs="+", default=(16, 32, 64, 128, 256))
     p.add_argument("--kind", choices=_KINDS, default="rqft")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -317,15 +319,18 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qgft`` parser; for a subcommand name, with only that subparser.
+    """The ``qgft`` parser: for a subcommand name, with only that subparser;
+    either way a given argv parses to the same namespace, help and errors."""
+    return _parser(command if command in COMMANDS else None)
 
-    Either way a given argv parses to the same namespace, help and errors.
-    """
+
+@functools.cache  # one per command plus the full one, shared: callers must not change it
+def _parser(command: str | None) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qgft",
         description="Quaternion Fourier transforms on finite abelian groups.",
     )
-    names = [command] if command in COMMANDS else list(COMMANDS)
+    names = [command] if command else list(COMMANDS)
     sub = top.add_subparsers(
         dest="command",
         required=True,

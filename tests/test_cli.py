@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -540,12 +542,48 @@ def test_one_command_parser_knows_no_other_command(capsys):
 
 
 def test_every_call_builds_its_own_parser(monkeypatch):
-    built = []
+    built, parsers = [], []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+
+    def spy(*args):
+        built.append(args)
+        parsers.append(build(*args))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
     for _ in range(2):
         assert main(["verify", "--group", "1", "--trials", "0"]) == 0
     assert built == [("verify",), ("verify",)]
+    assert parsers[0] is parsers[1]
+
+
+def test_parser_is_built_once_per_command():
+    assert cli.build_parser("smooth") is cli.build_parser("smooth")
+    assert cli.build_parser("smooth") is not cli.build_parser("dump")
+    full = cli.build_parser()
+    for name in ["nope", "", "--help", "-x", None]:
+        assert cli.build_parser(name) is full
+
+
+def test_parses_share_no_mutable_default():
+    parse = cli.build_parser("bench").parse_args
+    with contextlib.suppress(AttributeError):  # a tuple default cannot be changed
+        parse(["bench"]).sizes.append(512)
+    assert list(parse(["bench"]).sizes) == [16, 32, 64, 128, 256]
+
+
+def test_shared_parser_formats_text_when_printed(monkeypatch, capsys):
+    corpus = [["--help"], ["nope"], ["transform", "--help"], ["transform"],
+              ["bench", "--help"], ["bench", "--sizes"]]
+    outcomes = {}
+    for columns in ["40", "200"]:
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes[columns] = [parse_outcome(cli.build_parser(argv[0]), argv, capsys)
+                             for argv in corpus]
+        for argv, shared in zip(corpus, outcomes[columns]):
+            fresh = cli._parser.__wrapped__(argv[0] if argv[0] in cli.COMMANDS else None)
+            assert shared == parse_outcome(fresh, argv, capsys), (columns, argv)
+    assert outcomes["40"] != outcomes["200"]  # the width is read at print time
 
 
 @pytest.mark.parametrize("argv", [
@@ -654,3 +692,4 @@ def test_argv_grammar_never_raises(tmp_path, monkeypatch, rng):
             assert code in (0, 1, 2), argv
 
     check()
+    assert cli._parser.cache_info().currsize <= len(cli.COMMANDS) + 1
