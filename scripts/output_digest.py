@@ -11,8 +11,8 @@ It hashes the twelve transform evaluators under the default and a random
 axis pair on nine groups (the DFT-matrix and the pocketfft paths both),
 ``convolve``, the smoothing functions for every built-in family, the
 energy identity and the ``verify`` JSON report for three groups.  The
-evaluators and ``convolve`` also run on one group of order 256, where the
-two DFTs of each run on two threads.  On the nine groups it also hashes
+evaluators and ``convolve`` also run on two groups of order 256 and 315,
+where their passes run on two threads, the latter in uneven halves.  On the nine groups it also hashes
 every other public operation: ``transform_W``, ``transform_beta``, both
 kernel orders of ``multiplication_pairing`` and ``classical_dft_via_rqft``
 under both axis pairs, and ``reflect_conj``, ``translate``, ``lp_norm``
@@ -51,7 +51,7 @@ from qgft import (
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
               for side in "rsl" for inv in ("", "i")]
 GROUPS = [(1,), (5,), (8,), (3, 4), (2, 2, 3), (16,), (17,), (32,), (4, 8)]
-THREADED_GROUPS = [(8, 32)]  # evaluators and convolve only
+THREADED_GROUPS = [(8, 32), (5, 7, 9)]  # evaluators and convolve only; odd: uneven halves
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
 

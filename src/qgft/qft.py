@@ -33,11 +33,11 @@ in the 2-norm, share one core (Pei-Ding-Chang, Ell-Sangwine): a symplectic
 split into z1, z2 in the plane span{1, mu1}, two in-place full-grid DFTs of
 z1 +/- mu1*z2 and one add/sub pass, with a first-axis frequency negation
 ("flip") of the z2 part, O(|G|^2 log |G|) in total.  The DFTs are pocketfft
-FFTs, which run concurrently on two threads from order
-``signal.PARALLEL_DFT_MIN`` on.  Up to order ``TINY_CORE_MAX`` the whole
-core, maps and flips included, is two real products with cached matrices
-instead, cheaper there.  Each kind is three choices (``sqft_fast`` alone
-still runs the equivalent chain rqft_fast(W f) instead of its row):
+FFTs.  From order ``signal.PARALLEL_DFT_MIN`` on the core runs on two
+threads, by row halves, then column halves.  Up to order ``TINY_CORE_MAX``
+the whole core, maps and flips included, is two cheaper real products with
+cached matrices.  Each kind is three choices (``sqft_fast`` alone still
+runs the equivalent chain rqft_fast(W f) instead of its row):
 
   kind   inverse  split            z2 flip
   rqft   False    f = z1 + z2*mu2  before the DFTs
@@ -60,19 +60,21 @@ fast core allocates; up to it, the core's one temporary is two payloads.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import signal
 from .group import FiniteAbelianGroup, _characters
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
 from .signal import (
     QSignal,
     QSpectrum,
     _bin_map,
+    _both,
     _frozen,
-    _grid_fft_butterfly,
-    _swap_rows,
+    _grid_fft,
+    _scratch,
     transform_W,
     transform_beta,
 )
@@ -211,9 +213,9 @@ def _core_maps(axes: AxisPair, left: bool, before: bool):
     plain = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], float)
     mixed = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, -1], [-s, 0, s, 0]], float)
     frame = axes.frame_matrix
-    if before:
-        entry = ((False, False, _frozen(frame.T @ plain)),
-                 (True, False, _frozen(frame.T @ mixed)))
+    if before:  # the row-flipped term first: its gather then needs no copy
+        entry = ((True, False, _frozen(frame.T @ mixed)),
+                 (False, False, _frozen(frame.T @ plain)))
     else:
         entry = ((False, False, _frozen(frame.T @ (plain + mixed))),)
     rot = np.eye(4)
@@ -227,16 +229,19 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
 
     With z2 already flipped if the row says "before", c = DFT(z1 + mu1 z2)
     and e(u, v) = DFT(z1 - mu1 z2)(u, -v) give the output planes
-    f1 = (c + e)/2 and f2 = -mu1 (c - e)/2; one ``_grid_fft_butterfly``
-    call takes the planes to (c + e)/2 and (c - e)/2.  Both planes live in
-    the result from the start: the frame components (0, 1) and (2, 3) of
-    each bin, viewed as complex.  The frame change is composed into the entry
-    map, which writes the planes straight from the input, and into the
-    exit map, which applies -mu1, the left split's sign and the way back
-    in place (see ``_core_maps``); an "after" flip swaps the rows of f2.
-    The inverse DFTs normalise by 1/|G|^2.  Above ``TINY_CORE_MAX`` nothing
-    of payload size is allocated but the result; up to it, the whole core is
-    two products with ``_tiny_core``'s matrices, and one two-payload temporary.
+    f1 = (c + e)/2 and f2 = -mu1 (c - e)/2.  Both planes live in the result
+    from the start: the frame components (0, 1) and (2, 3) of each bin,
+    viewed as complex.  The frame change is composed into the entry map,
+    which writes the planes straight from the input, and into the exit map,
+    which applies -mu1, the left split's sign and the way back in place
+    (see ``_core_maps``); an "after" flip swaps the rows of f2.  The inverse
+    DFTs normalise by 1/|G|^2.  By rows run the entry map and second-variable
+    DFTs, then by columns the first-variable DFTs, the add/sub pass to
+    (c + e)/2 and (c - e)/2, the swap and the exit map, each phase from
+    ``signal.PARALLEL_DFT_MIN`` on in two halves on two threads.  Above
+    ``TINY_CORE_MAX`` nothing of payload size is allocated but the result;
+    up to it, the core is two products with ``_tiny_core``'s matrices and
+    one two-payload temporary.
     """
     assert flip in ("before", "after", None), flip
     grp, n = x.group, x.group.order
@@ -247,12 +252,35 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
         np.matmul(dft, terms, out=out.reshape(n, 4 * n))
         return out
     entry, exit_ = _core_maps(axes, left, flip == "before")
-    _bin_map(x.values, entry, grp.neg_perm, out)
     planes = out.view(np.complex128)
-    _grid_fft_butterfly(planes, grp, inverse)
-    if flip == "after":
-        _swap_rows(planes[..., 1], *grp.neg_swaps)
-    _bin_map(out, exit_, grp.neg_perm, out)
+
+    def by_rows(rows, scratch):
+        c, e = planes[rows, :, 0], planes[rows, :, 1]
+        _bin_map(x.values, entry, grp.neg_perm, out, scratch, rows)
+        _grid_fft(c, grp, inverse, out=c, axis=1)
+        _grid_fft(e, grp, inverse, out=e, mirror=True, axis=1)
+
+    def by_cols(cols, scratch):
+        pair, band = planes[:, cols], out[:, cols]
+        c, e = pair[..., 0], pair[..., 1]
+        _grid_fft(pair, grp, inverse, out=pair, axis=0)  # the mirror is on axis 1
+        np.subtract(c, e, out=e)
+        e *= 0.5
+        c -= e
+        if flip == "after":  # by bin-map row blocks (a row of e is half a row of bins)
+            (moved, partner), step = grp.neg_swaps, 2 * max(1, scratch.nbytes // (4 * e[0].nbytes))
+            for i in range(0, len(moved), step):  # pairs that trade places are adjacent
+                e[moved[i:i + step]] = e[partner[i:i + step]]
+        _bin_map(band, exit_, grp.neg_perm, band, scratch)
+
+    for phase in (by_rows, by_cols):
+        if n < signal.PARALLEL_DFT_MIN:  # halves would only double the pocketfft calls
+            phase(slice(None), _scratch(n))
+            continue
+        with np.errstate():  # a band's rows make no one loop: with ufunc buffers no
+            np.setbufsize(max(16, n // 32 * 16))  # longer than a row, numpy copies none
+            _both(partial(phase, slice(n // 2), _scratch(n)),
+                  partial(phase, slice(n // 2, None), _scratch(n)), n)
     return out
 
 
@@ -272,7 +300,7 @@ def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: b
     as one on the axis pair is not: Z_1 factors make endless groups of one order.
     """
     n = group.order
-    ((_, _, plain), *flipped), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")
+    (*flipped, (_, _, plain)), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")
     mixed = flipped[0][2] if flipped else 0.0  # the entry's row-flipped part
     d = group.dft_matrices[inverse, False]
     # [x, p, v]: the axis-1 DFT that takes plane component p at x2 = x to v

@@ -235,15 +235,15 @@ def reflect_conj(f: QSignal) -> QSignal:
 # is measured in the README's performance notes).
 DFT_MATRIX_MAX = 16
 
-# From this group order on, the two independent DFTs of the fast core and of
-# ``convolve`` run on two threads (pocketfft releases the GIL): below it,
-# starting a thread costs more than the overlap saves (the crossover is
-# measured in the README's performance notes).
-PARALLEL_DFT_MIN = 256
+# From this group order on, the fast core's passes (by row halves, then by
+# column halves) and ``convolve``'s two forward DFTs run on two threads:
+# below it, starting threads costs more than the overlap saves (the
+# crossover is measured in the README's performance notes).
+PARALLEL_DFT_MIN = 288
 
 
 def _both(first, second, order: int) -> tuple:
-    """``(first(), second())`` for the DFTs of a grid of group order ``order``.
+    """``(first(), second())`` for work on a grid of group order ``order``.
 
     From ``PARALLEL_DFT_MIN`` on, ``first`` runs on one short-lived worker
     thread while ``second`` runs here.  The worker is started and joined
@@ -283,6 +283,7 @@ def _grid_fft(
     inverse: bool = False,
     out=None,
     mirror: bool = False,
+    axis=None,
 ) -> np.ndarray:
     """The DFT over G x G of an ``(n, n, ...)`` array, trailing axes batched:
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
@@ -293,6 +294,8 @@ def _grid_fft(
     ``values`` itself) receives the result in place.  With ``mirror`` the
     second frequency comes out negated, X(u, -v): its transform runs the
     opposite direction under the same normalisation, so no gather is needed.
+    With ``axis`` 0 or 1 only that grid variable's DFT runs, and the other
+    axis of ``values`` may have any length (a band of columns or of rows).
 
     Up to order ``DFT_MATRIX_MAX`` it is one product with
     ``group.dft_matrices`` per grid axis, the conjugate matrix on axis 1
@@ -302,76 +305,75 @@ def _grid_fft(
     """
     n = group.order
     if n <= DFT_MATRIX_MAX:
-        x = values.reshape(n, n, -1)
-        dest = out.reshape(x.shape, copy=False) if out is not None else (
-            np.empty(x.shape, np.complex128))
-        # the matrices are symmetric: axis 1 of each (n, n) slice is x @ m
-        t = (group.dft_matrices[inverse, False] @ x.reshape(n, -1)).reshape(x.shape)
-        np.matmul(t.transpose(2, 0, 1), group.dft_matrices[inverse, mirror],
-                  out=dest.transpose(2, 0, 1))
+        x = values.reshape(n, n, -1) if axis is None else values.reshape(*values.shape[:2], -1)
+        dest = np.empty(x.shape, np.complex128) if out is None else out.reshape(x.shape, copy=False)
+        if axis != 1:
+            x = (group.dft_matrices[inverse, False] @ x.reshape(n, -1)).reshape(x.shape)
+            if axis == 0:
+                dest[...] = x
+        if axis != 0:  # the matrices are symmetric: axis 1 of each (n, n) slice is x @ m
+            np.matmul(x.transpose(2, 0, 1), group.dft_matrices[inverse, mirror],
+                      out=dest.transpose(2, 0, 1))
         return dest.reshape(values.shape)
     moduli = tuple(m for m in group.moduli if m > 1) or (1,)  # order 1: one axis
     k = len(moduli)
-    shape = moduli * 2 + values.shape[2:]
+    lead = values.shape[:1] if axis == 1 else moduli  # the first variable's axes
+    shape = lead + (values.shape[1:2] if axis == 0 else moduli) + values.shape[2:]
     x = values.reshape(shape)
     dest = None if out is None else out.reshape(shape, copy=False)
     # fftn's own passes in its axis order, as 1-d calls: that skips its
     # argument handling, which dominates the cost on small grids
-    for ax in reversed(range(2 * k)):
-        mirrored = mirror and ax >= k
+    for ax in reversed(range(*{None: (0, 2 * k), 0: (0, k), 1: (1, k + 1)}[axis])):
+        mirrored = mirror and ax >= len(lead)
         dft = np.fft.fft if inverse == mirrored else np.fft.ifft
         x = dft(x, axis=ax, norm="forward" if mirrored else None, out=dest)
         dest = x
     return x.reshape(values.shape)
 
 
-def _grid_fft_butterfly(planes: np.ndarray, group: FiniteAbelianGroup, inverse: bool) -> None:
-    """In place on an ``(n, n, 2)`` complex array of planes a and b: with c
-    the ``_grid_fft`` of a and e its mirrored one of b, write ((c + e)/2, (c - e)/2):
-    two ``_grid_fft`` calls, concurrent from order ``PARALLEL_DFT_MIN`` on,
-    and the add/sub pass."""
-    c, e = planes[..., 0], planes[..., 1]
-    _both(partial(_grid_fft, c, group, inverse, out=c),
-          partial(_grid_fft, e, group, inverse, out=e, mirror=True), group.order)
-    np.subtract(c, e, out=e)
-    e *= 0.5
-    c -= e
-
-
-# Row blocks of this many bytes stay in cache across the terms of a bin map,
-# and its block-sized temporaries stay far below one payload.
+# Row blocks of at least this many bytes stay in cache across the terms of a
+# bin map, and its block-sized temporaries stay far below one payload.
 _BLOCK_BYTES = 1 << 17
 
 
-def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray) -> None:
+def _scratch(order: int) -> np.ndarray:
+    """A ``_bin_map`` block for group order ``order``: ``_BLOCK_BYTES``, one row
+    or 1/16 payload, whichever is most (few numpy calls, each a GIL wait).
+    A worker thread's is allocated by its caller: allocating grows its own heap."""
+    return np.empty(max(_BLOCK_BYTES, 32 * order, 2 * order * order) // 8)
+
+
+def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray, scratch=None,
+             rows: slice = slice(None)) -> None:
     """out = sum of x[rows][:, cols] @ m over ``terms`` of (flip_rows, flip_cols, m).
 
     Each term reads the ``(n, n, 4)`` payload with its first and/or second
     variable negated (``neg`` is the group's negation permutation) and
-    applies the real 4x4 map ``m`` to every bin, as a row vector.  The work
-    goes by row blocks of ``_BLOCK_BYTES``, so no temporary is larger than
-    a block.  ``out`` may be ``x`` itself when no term flips rows.
-    """
-    step = max(1, _BLOCK_BYTES // x[0].nbytes)
-    for i in range(0, x.shape[0], step):
-        rows = slice(i, i + step)
-        dst = out[rows].reshape(-1, 4)
+    applies the real 4x4 map ``m`` to every bin, as a row vector, in the
+    ``rows`` of ``out``, by row blocks the size of ``scratch`` (a ``_scratch``
+    by default): it holds their row gathers (``take`` mode "raise" would copy
+    it) and products that cannot go into ``out``, a gather's aside.  ``x`` and
+    ``out`` may be column bands if no term flips, the same for one plain term."""
+    scratch = _scratch(len(x)) if scratch is None else scratch
+    # a payload's rows of bins make one matrix of bins; a band's do not
+    shape = (-1, 4) if x.flags.c_contiguous and out.flags.c_contiguous else (-1,) + x.shape[1:]
+    step = max(1, scratch.nbytes // x[0].nbytes)
+    start, stop, _ = rows.indices(len(out))
+    for i in range(start, stop, step):
+        block = slice(i, min(i + step, stop))
+        dst = out[block].reshape(shape)
         for t, (flip_rows, flip_cols, m) in enumerate(terms):
-            src = x[neg[rows]] if flip_rows else x[rows]
-            if flip_cols:
-                src = src[:, neg]
-            if t:
-                dst += src.reshape(-1, 4) @ m
-            else:  # matmul copies an overlapping input first
-                np.matmul(src.reshape(-1, 4), m, out=dst)
-
-
-def _swap_rows(plane: np.ndarray, moved: np.ndarray, partner: np.ndarray) -> None:
-    """plane[moved] = plane[partner] in place, by row blocks, where each
-    pair of rows that trade places is adjacent in ``moved``."""
-    step = 2 * max(1, _BLOCK_BYTES // (2 * plane[0].size * plane.itemsize))
-    for i in range(0, moved.size, step):
-        plane[moved[i:i + step]] = plane[partner[i:i + step]]
+            if flip_rows or t or x is out and len(shape) > 2:
+                tmp = scratch[:dst.size].reshape((-1,) + x.shape[1:])
+            src = x.take(neg[block], axis=0, out=tmp, mode="clip") if flip_rows else x[block]
+            src = src[:, neg] if flip_cols else src
+            if t:  # the product of a gather into scratch gets an array of its own
+                prod = None if flip_rows else tmp.reshape(shape)
+                dst += np.matmul(src.reshape(shape), m, out=prod)
+            elif len(shape) == 2 or x is not out:  # numpy copies an overlapping payload itself
+                np.matmul(src.reshape(shape), m, out=dst)
+            else:  # a band in place: through scratch, not a copy numpy allocates
+                dst[...] = np.matmul(src, m, out=tmp)
 
 
 # Per frame component (a, b, c, d): whether it reads -x1 and whether -x2.

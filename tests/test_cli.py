@@ -439,7 +439,7 @@ def test_groups_of_rank_above_32(rng, tmp_path, capsys):
 
 # From signal.PARALLEL_DFT_MIN on, one of the fast core's two plane DFTs
 # runs on a worker thread; this group is at or above it.
-THREADED_MODULI = (16, 16)
+THREADED_MODULI = (16, 18)
 
 
 @pytest.mark.parametrize("argv, side, moduli", [

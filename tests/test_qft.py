@@ -510,6 +510,14 @@ def test_fast_working_set_is_one_payload(rng, mods):
             assert peak < (results + 0.25) * x.values.nbytes, op.__name__
 
 
+@pytest.mark.parametrize("mods", [(256,), (16, 16)])
+def test_fast_working_set_on_two_threads(monkeypatch, rng, mods):
+    # the same bound with each phase of the core in halves on two threads,
+    # both halves' block scratch alive at once
+    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", 2)
+    test_fast_working_set_is_one_payload(rng, mods)
+
+
 # --- multiplication pairing -----------------------------------------------------
 
 

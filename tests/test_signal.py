@@ -201,7 +201,8 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("moduli", [(256,), (8, 32)])
+# odd orders split into uneven halves, and Z_1 factors change no grid axis
+@pytest.mark.parametrize("moduli", [(288,), (9, 32), (5, 7, 9), (1, 18, 1, 16)])
 def test_threaded_dfts_give_the_sequential_bits(monkeypatch, rng, moduli):
     g = FiniteAbelianGroup(moduli)
     assert g.order >= signal.PARALLEL_DFT_MIN
@@ -257,26 +258,31 @@ def test_both_runs_in_the_callers_context_and_joins(monkeypatch):
 
 @pytest.mark.parametrize("op", ["rqft_fast", "convolve"])
 def test_worker_errors_reach_the_caller(monkeypatch, rng, tmp_path, capsys, op):
-    g = FiniteAbelianGroup((8, 32))
+    g = FiniteAbelianGroup((9, 32))
     assert g.order >= signal.PARALLEL_DFT_MIN
     f = random_signal(g, rng)
+    write_qsig(str(tmp_path / "f.qsig"), f)
+    # convolve's worker runs whole DFTs; the fast core's runs the row phase's
+    # axis-1 DFTs, then the column phase's axis-0 ones: fail in each in turn
+    for axis in (None,) if op == "convolve" else (1, 0):
+        def worker_out_of_memory(*args, axis_=axis, **kwargs):
+            if (threading.current_thread() is not threading.main_thread()
+                    and kwargs.get("axis") == axis_):
+                raise MemoryError("worker")
+            return _grid_fft(*args, **kwargs)
 
-    def worker_out_of_memory(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker")
-        return _grid_fft(*args, **kwargs)
-
-    monkeypatch.setattr(signal, "_grid_fft", worker_out_of_memory)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="worker"):
-        convolve(f, f) if op == "convolve" else qft.rqft_fast(f)
-    assert threading.active_count() == before
-    if op == "rqft_fast":
-        write_qsig(str(tmp_path / "f.qsig"), f)
-        assert cli.main(["transform", str(tmp_path / "f.qsig"), str(tmp_path / "F.qsig")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
-        assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
+        monkeypatch.setattr(signal if op == "convolve" else qft, "_grid_fft",
+                            worker_out_of_memory)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker"):
+            convolve(f, f) if op == "convolve" else qft.rqft_fast(f)
+        assert threading.active_count() == before
+        if op == "rqft_fast":
+            assert cli.main(["transform", str(tmp_path / "f.qsig"),
+                             str(tmp_path / "F.qsig")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
+            assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
 
 
 def test_lp_norms_constant():
