@@ -339,7 +339,7 @@ _BLOCK_BYTES = 1 << 17
 def _scratch(order: int) -> np.ndarray:
     """A ``_bin_map`` block for group order ``order``: ``_BLOCK_BYTES``, one row
     or 1/16 payload, whichever is most (few numpy calls, each a GIL wait).
-    A worker thread's is allocated by its caller: allocating grows its own heap."""
+    Allocate a worker thread's in its caller: a thread that allocates grows its own heap."""
     return np.empty(max(_BLOCK_BYTES, 32 * order, 2 * order * order) // 8)
 
 
@@ -351,9 +351,9 @@ def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray, scratch=Non
     variable negated (``neg`` is the group's negation permutation) and
     applies the real 4x4 map ``m`` to every bin, as a row vector, in the
     ``rows`` of ``out``, by row blocks the size of ``scratch`` (a ``_scratch``
-    by default): it holds their row gathers (``take`` mode "raise" would copy
-    it) and products that cannot go into ``out``, a gather's aside.  ``x`` and
-    ``out`` may be column bands if no term flips, the same for one plain term."""
+    by default), which holds their row gathers and the products that cannot
+    go straight into ``out`` (a gather's gets its own array).  ``x`` and ``out``
+    may be column bands if no term flips, and one array for one plain term."""
     scratch = _scratch(len(x)) if scratch is None else scratch
     # a payload's rows of bins make one matrix of bins; a band's do not
     shape = (-1, 4) if x.flags.c_contiguous and out.flags.c_contiguous else (-1,) + x.shape[1:]
@@ -365,7 +365,7 @@ def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray, scratch=Non
         for t, (flip_rows, flip_cols, m) in enumerate(terms):
             if flip_rows or t or x is out and len(shape) > 2:
                 tmp = scratch[:dst.size].reshape((-1,) + x.shape[1:])
-            src = x.take(neg[block], axis=0, out=tmp, mode="clip") if flip_rows else x[block]
+            src = x.take(neg[block], 0, tmp, "clip") if flip_rows else x[block]  # "raise" buffers
             src = src[:, neg] if flip_cols else src
             if t:  # the product of a gather into scratch gets an array of its own
                 prod = None if flip_rows else tmp.reshape(shape)
