@@ -8,16 +8,18 @@ checked by running this script on both trees and comparing the digests:
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/output_digest.py
 
 It hashes the twelve transform evaluators under the default and a random
-axis pair on nine groups (the DFT-matrix and the pocketfft paths both),
-``convolve``, the smoothing functions for every built-in family, the
-energy identity and the ``verify`` JSON report for three groups.  The
-evaluators and ``convolve`` also run on two groups of order 256 and 315,
-where their passes run on two threads, the latter in uneven halves.  On the nine groups it also hashes
-every other public operation: ``transform_W``, ``transform_beta``, both
-kernel orders of ``multiplication_pairing`` and ``classical_dft_via_rqft``
-under both axis pairs, and ``reflect_conj``, ``translate``, ``lp_norm``
-(p = 1, 2 and inf) and ``inner_q``.  Only public names are used, so
-older trees hash the same way.
+axis pair on nine groups (the fast core as two products, the whole-grid
+DFT as matrix products and as pocketfft calls), ``convolve``, the
+smoothing functions for every built-in family, the energy identity and
+the ``verify`` JSON report for three groups.  The evaluators and
+``convolve`` also run where the fast core is pocketfft: on one thread at
+order 256, and on two threads at orders 288 and 315 (the latter in uneven
+halves).  On the nine groups it also hashes every other public operation:
+``transform_W``, ``transform_beta``, both kernel orders of
+``multiplication_pairing`` and ``classical_dft_via_rqft`` under both axis
+pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
+and ``inner_q``.  Only public names are used, so older trees hash the
+same way.
 """
 
 import hashlib
@@ -51,7 +53,10 @@ from qgft import (
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
               for side in "rsl" for inv in ("", "i")]
 GROUPS = [(1,), (5,), (8,), (3, 4), (2, 2, 3), (16,), (17,), (32,), (4, 8)]
-THREADED_GROUPS = [(8, 32), (5, 7, 9)]  # evaluators and convolve only; odd: uneven halves
+# evaluators and convolve only: the pocketfft core on one thread, and on two
+# threads from qft.PARALLEL_DFT_MIN on (an odd order splits into uneven halves)
+CORE_GROUPS = [(8, 32)]
+THREADED_GROUPS = [(16, 18), (5, 7, 9)]
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
 
@@ -64,7 +69,7 @@ def main() -> None:
         digest.update(arr.tobytes())
 
     rng = np.random.default_rng(20)
-    for moduli in GROUPS + THREADED_GROUPS:
+    for moduli in GROUPS + CORE_GROUPS + THREADED_GROUPS:
         g = FiniteAbelianGroup(moduli)
         f, F = random_signal(g, rng), random_spectrum(g, rng)
         for axes_label, axes in (("default", qgft.DEFAULT_AXES), ("random", random_axis_pair(rng))):
@@ -72,7 +77,7 @@ def main() -> None:
                 x = F if name.startswith("i") else f
                 add(f"{name}/{g!r}/{axes_label}", getattr(qgft, name)(x, axes).values)
         add(f"convolve/{g!r}", convolve(f, random_signal(g, rng)).values)
-        if moduli in THREADED_GROUPS:
+        if moduli not in GROUPS:
             continue
         for family in map(builtin_family, BUILTIN_FAMILIES):
             add(f"smooth/{family.name}/{g!r}", smooth(f, family, 2).values)

@@ -146,17 +146,15 @@ class FiniteAbelianGroup:
         return th
 
     @cached_property
-    def dft_matrices(self) -> dict[tuple[bool, bool], np.ndarray]:
-        """Complex DFT matrices over G, keyed by (inverse, conjugated).
+    def dft_matrices(self) -> dict[bool, np.ndarray]:
+        """Complex DFT matrices over G, keyed by ``inverse``.
 
-        The forward matrix is exp(-i theta[u, x]), the inverse exp(i theta)/|G|,
-        each also conjugated.  All four are symmetric, read-only and, for a
-        product group, the Kronecker product of the factors' matrices.
+        The forward matrix is exp(-i theta[u, x]), the inverse exp(i theta)/|G|.
+        Both are symmetric, read-only and, for a product group, the Kronecker
+        product of the factors' matrices.
         """
         fwd = np.exp(-1j * self.angle_table)
-        inv = fwd.conj() / self.order
-        mats = {(False, False): fwd, (False, True): fwd.conj(),
-                (True, False): inv, (True, True): inv.conj()}
+        mats = {False: fwd, True: fwd.conj() / self.order}
         for m in mats.values():
             m.setflags(write=False)
         return mats

@@ -33,11 +33,12 @@ in the 2-norm, share one core (Pei-Ding-Chang, Ell-Sangwine): a symplectic
 split into z1, z2 in the plane span{1, mu1}, two in-place full-grid DFTs of
 z1 +/- mu1*z2 and one add/sub pass, with a first-axis frequency negation
 ("flip") of the z2 part, O(|G|^2 log |G|) in total.  The DFTs are pocketfft
-FFTs.  From order ``signal.PARALLEL_DFT_MIN`` on the core runs on two
-threads, by row halves, then column halves.  Up to order ``TINY_CORE_MAX``
-the whole core, maps and flips included, is two cheaper real products with
-cached matrices.  Each kind is three choices (``sqft_fast`` alone still
-runs the equivalent chain rqft_fast(W f) instead of its row):
+FFTs.  From order ``PARALLEL_DFT_MIN`` on the core runs on two threads, by
+row halves, then column halves; no other module starts a thread.  Up to
+order ``TINY_CORE_MAX`` the whole core, maps and flips included, is two
+cheaper real products with cached matrices.  Each kind is three choices
+(``sqft_fast`` alone still runs the equivalent chain rqft_fast(W f) instead
+of its row):
 
   kind   inverse  split            z2 flip
   rqft   False    f = z1 + z2*mu2  before the DFTs
@@ -59,21 +60,21 @@ fast core allocates; up to it, the core's one temporary is two payloads.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from enum import Enum
 from functools import lru_cache, partial
 
 import numpy as np
 
-from . import signal
 from .group import FiniteAbelianGroup, _characters
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
 from .signal import (
     QSignal,
     QSpectrum,
     _bin_map,
-    _both,
     _frozen,
-    _grid_fft,
+    _pocketfft,
     _scratch,
     transform_W,
     transform_beta,
@@ -191,6 +192,55 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # crossover is measured in the README's performance notes).
 TINY_CORE_MAX = 32
 
+# From this group order on, the fast core's passes run on two threads, by row
+# halves, then by column halves: below it, starting threads costs more than the
+# overlap saves (the crossover is measured in the README's performance notes).
+PARALLEL_DFT_MIN = 288
+
+
+def _in_halves(phase, order: int) -> None:
+    """Run ``phase(part, scratch)`` for ``part`` a slice of ``range(order)``.
+
+    Below ``PARALLEL_DFT_MIN`` that is one call on ``slice(None)``: halves
+    would only double the pocketfft calls.  From it on, the first half runs
+    on one worker thread while the second runs here, each with a ``_scratch``
+    allocated here (a thread that allocates grows its own heap).  The worker
+    is started and joined inside the call and runs in a copy of the caller's
+    context, taken after the ufunc buffer size is set, so ``np.errstate`` and
+    that size hold there too.  An exception from either half is raised here
+    once both have finished.  A host that cannot start a thread gets the
+    halves one after the other.
+    """
+    if order < PARALLEL_DFT_MIN:
+        phase(slice(None), _scratch(order))
+        return
+    first = partial(phase, slice(order // 2), _scratch(order))
+    second = partial(phase, slice(order // 2, None), _scratch(order))
+    error = None
+
+    def work():
+        nonlocal error
+        try:
+            first()
+        except BaseException as exc:  # re-raised in the caller
+            error = exc
+
+    with np.errstate():  # a band's rows make no one loop: with ufunc buffers no
+        np.setbufsize(max(16, order // 32 * 16))  # longer than a row, numpy copies none
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        try:
+            worker.start()
+        except RuntimeError:  # no thread to be had
+            first()
+            second()
+            return
+        try:
+            second()
+        finally:
+            worker.join()
+    if error is not None:
+        raise error
+
 
 def _core_maps(axes: AxisPair, left: bool, before: bool):
     """A kind's entry and exit ``_bin_map`` terms, frame change included.
@@ -237,11 +287,10 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     (see ``_core_maps``); an "after" flip swaps the rows of f2.  The inverse
     DFTs normalise by 1/|G|^2.  By rows run the entry map and second-variable
     DFTs, then by columns the first-variable DFTs, the add/sub pass to
-    (c + e)/2 and (c - e)/2, the swap and the exit map, each phase from
-    ``signal.PARALLEL_DFT_MIN`` on in two halves on two threads.  Above
-    ``TINY_CORE_MAX`` nothing of payload size is allocated but the result;
-    up to it, the core is two products with ``_tiny_core``'s matrices and
-    one two-payload temporary.
+    (c + e)/2 and (c - e)/2, the swap and the exit map, each phase through
+    ``_in_halves``.  Above ``TINY_CORE_MAX`` nothing of payload size is
+    allocated but the result; up to it, the core is two products with
+    ``_tiny_core``'s matrices and one two-payload temporary.
     """
     assert flip in ("before", "after", None), flip
     grp, n = x.group, x.group.order
@@ -257,13 +306,13 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     def by_rows(rows, scratch):
         c, e = planes[rows, :, 0], planes[rows, :, 1]
         _bin_map(x.values, entry, grp.neg_perm, out, scratch, rows)
-        _grid_fft(c, grp, inverse, out=c, axis=1)
-        _grid_fft(e, grp, inverse, out=e, mirror=True, axis=1)
+        _pocketfft(c, grp, inverse, 1, c)
+        _pocketfft(e, grp, inverse, 1, e, mirror=True)
 
     def by_cols(cols, scratch):
         pair, band = planes[:, cols], out[:, cols]
         c, e = pair[..., 0], pair[..., 1]
-        _grid_fft(pair, grp, inverse, out=pair, axis=0)  # the mirror is on axis 1
+        _pocketfft(pair, grp, inverse, 0, pair)  # the mirror is on axis 1
         np.subtract(c, e, out=e)
         e *= 0.5
         c -= e
@@ -273,14 +322,8 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
                 e[moved[i:i + step]] = e[partner[i:i + step]]
         _bin_map(band, exit_, grp.neg_perm, band, scratch)
 
-    for phase in (by_rows, by_cols):
-        if n < signal.PARALLEL_DFT_MIN:  # halves would only double the pocketfft calls
-            phase(slice(None), _scratch(n))
-            continue
-        with np.errstate():  # a band's rows make no one loop: with ufunc buffers no
-            np.setbufsize(max(16, n // 32 * 16))  # longer than a row, numpy copies none
-            _both(partial(phase, slice(n // 2), _scratch(n)),
-                  partial(phase, slice(n // 2, None), _scratch(n)), n)
+    _in_halves(by_rows, n)
+    _in_halves(by_cols, n)
     return out
 
 
@@ -302,7 +345,7 @@ def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: b
     n = group.order
     (*flipped, (_, _, plain)), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")
     mixed = flipped[0][2] if flipped else 0.0  # the entry's row-flipped part
-    d = group.dft_matrices[inverse, False]
+    d = group.dft_matrices[inverse]
     # [x, p, v]: the axis-1 DFT that takes plane component p at x2 = x to v
     dfts = np.stack([d, d.conj()], axis=1)[:, [0, 0, 1, 1]]
     rights = []

@@ -22,10 +22,6 @@ and numpy.
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from functools import partial
-
 import numpy as np
 
 from .group import FiniteAbelianGroup, GroupElement
@@ -230,104 +226,58 @@ def reflect_conj(f: QSignal) -> QSignal:
 
 
 # Up to this group order the DFT over G x G is two products with the group's
-# DFT matrices, and the fast core of ``qft`` two products with its own: below
-# it numpy's fixed cost per FFT call outweighs the arithmetic (the crossover
-# is measured in the README's performance notes).
+# DFT matrices: below it numpy's fixed cost per FFT call outweighs the
+# arithmetic (the crossover is measured in the README's performance notes).
 DFT_MATRIX_MAX = 16
 
-# From this group order on, the fast core's passes (by row halves, then by
-# column halves) and ``convolve``'s two forward DFTs run on two threads:
-# below it, starting threads costs more than the overlap saves (the
-# crossover is measured in the README's performance notes).
-PARALLEL_DFT_MIN = 288
 
-
-def _both(first, second, order: int) -> tuple:
-    """``(first(), second())`` for work on a grid of group order ``order``.
-
-    From ``PARALLEL_DFT_MIN`` on, ``first`` runs on one short-lived worker
-    thread while ``second`` runs here.  The worker is started and joined
-    inside the call, so nothing it does outlives the call, and it runs in a
-    copy of the caller's context, so ``np.errstate`` holds there too.  An
-    exception from either call is raised here once both have finished.  A
-    host that cannot start a thread gets the two calls one after the other.
-    """
-    if order < PARALLEL_DFT_MIN:
-        return first(), second()
-    result = error = None
-
-    def work():
-        nonlocal result, error
-        try:
-            result = first()
-        except BaseException as exc:  # re-raised in the caller
-            error = exc
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    try:
-        worker.start()
-    except RuntimeError:  # no thread to be had
-        return first(), second()
-    try:
-        other = second()
-    finally:
-        worker.join()
-    if error is not None:
-        raise error
-    return result, other
-
-
-def _grid_fft(
-    values: np.ndarray,
-    group: FiniteAbelianGroup,
-    inverse: bool = False,
-    out=None,
-    mirror: bool = False,
-    axis=None,
-) -> np.ndarray:
+def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool = False,
+              out=None) -> np.ndarray:
     """The DFT over G x G of an ``(n, n, ...)`` array, trailing axes batched:
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
-    Every DFT in the library goes through here (the fast core's matrices
-    take in its DFTs up to ``qft.TINY_CORE_MAX``): ``(n, n)`` complex planes
-    and ``(n, n, 2)`` symplectic pairs alike.  ``out`` (which may be
-    ``values`` itself) receives the result in place.  With ``mirror`` the
-    second frequency comes out negated, X(u, -v): its transform runs the
-    opposite direction under the same normalisation, so no gather is needed.
-    With ``axis`` 0 or 1 only that grid variable's DFT runs, and the other
-    axis of ``values`` may have any length (a band of columns or of rows).
-
-    Up to order ``DFT_MATRIX_MAX`` it is one product with
-    ``group.dft_matrices`` per grid axis, the conjugate matrix on axis 1
-    when mirrored.  Above it, pocketfft runs on two axes per cyclic factor
-    Z_m with m > 1 (a length-1 DFT is the identity): the canonical index is
-    row-major with the last coordinate fastest.
+    This is the whole-grid DFT of ``convolve``, ``smooth`` and the kernels,
+    on ``(n, n)`` planes and ``(n, n, 2)`` symplectic pairs alike; ``out``
+    (which may be ``values`` itself) receives the result in place.  Up to
+    order ``DFT_MATRIX_MAX`` it is one product with ``group.dft_matrices``
+    per grid axis; above it, ``_pocketfft`` of the second variable, then of
+    the first.
     """
     n = group.order
     if n <= DFT_MATRIX_MAX:
-        x = values.reshape(n, n, -1) if axis is None else values.reshape(*values.shape[:2], -1)
+        m = group.dft_matrices[inverse]
+        x = values.reshape(n, n, -1)
         dest = np.empty(x.shape, np.complex128) if out is None else out.reshape(x.shape, copy=False)
-        if axis != 1:
-            x = (group.dft_matrices[inverse, False] @ x.reshape(n, -1)).reshape(x.shape)
-            if axis == 0:
-                dest[...] = x
-        if axis != 0:  # the matrices are symmetric: axis 1 of each (n, n) slice is x @ m
-            np.matmul(x.transpose(2, 0, 1), group.dft_matrices[inverse, mirror],
-                      out=dest.transpose(2, 0, 1))
+        x = (m @ x.reshape(n, -1)).reshape(x.shape)
+        # the matrix is symmetric: axis 1 of each (n, n) slice is x @ m
+        np.matmul(x.transpose(2, 0, 1), m, out=dest.transpose(2, 0, 1))
         return dest.reshape(values.shape)
+    x = _pocketfft(values, group, inverse, 1, out)
+    return _pocketfft(x, group, inverse, 0, x)
+
+
+def _pocketfft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool, variable: int,
+               out=None, mirror: bool = False) -> np.ndarray:
+    """The DFT over G of one grid variable, forward or inverse as in
+    ``_grid_fft``: along axis 0 or 1 of ``values`` by ``variable``.  The
+    other axis may have any length (a band of rows or of columns), and
+    trailing axes are batched; ``out`` (which may be ``values`` itself)
+    receives the result in place.  With ``mirror`` the frequency comes out
+    negated, X(-u): its transform runs the opposite direction under the
+    same normalisation, so no gather is needed.
+
+    One pocketfft call per cyclic factor Z_m with m > 1 (a length-1 DFT is
+    the identity), last coordinate first as in ``fftn``, whose argument
+    handling the 1-d calls skip: it dominates on small grids.  The
+    canonical index is row-major with the last coordinate fastest.
+    """
     moduli = tuple(m for m in group.moduli if m > 1) or (1,)  # order 1: one axis
-    k = len(moduli)
-    lead = values.shape[:1] if axis == 1 else moduli  # the first variable's axes
-    shape = lead + (values.shape[1:2] if axis == 0 else moduli) + values.shape[2:]
+    shape = values.shape[:variable] + moduli + values.shape[variable + 1:]
     x = values.reshape(shape)
     dest = None if out is None else out.reshape(shape, copy=False)
-    # fftn's own passes in its axis order, as 1-d calls: that skips its
-    # argument handling, which dominates the cost on small grids
-    for ax in reversed(range(*{None: (0, 2 * k), 0: (0, k), 1: (1, k + 1)}[axis])):
-        mirrored = mirror and ax >= len(lead)
-        dft = np.fft.fft if inverse == mirrored else np.fft.ifft
-        x = dft(x, axis=ax, norm="forward" if mirrored else None, out=dest)
-        dest = x
+    dft = np.fft.fft if inverse == mirror else np.fft.ifft
+    for ax in reversed(range(variable, variable + len(moduli))):
+        x = dest = dft(x, axis=ax, norm="forward" if mirror else None, out=dest)
     return x.reshape(values.shape)
 
 
@@ -410,14 +360,12 @@ def convolve(f: QSignal, g: QSignal) -> QSignal:
     Not commutative in general.  Left H-linear in f.  The payload viewed as
     complex is the symplectic pair of f = a1 + a2*j; with g = b1 + b2*j,
     f * g = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*j (Pei-Ding-Chang),
-    and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).  The DFTs of
-    f and g are independent and run on two threads from order
-    ``PARALLEL_DFT_MIN`` on.
+    and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).
     """
     f._check_same_carrier(g)
     grp, neg = f.group, f.group.neg_perm
-    A, B = _both(partial(_grid_fft, f.values.view(np.complex128), grp),
-                 partial(_grid_fft, g.values.view(np.complex128), grp), grp.order)
+    A = _grid_fft(f.values.view(np.complex128), grp)
+    B = _grid_fft(g.values.view(np.complex128), grp)
     Bc = np.conj(B[np.ix_(neg, neg)])
     out = np.empty_like(A)
     out[..., 0] = A[..., 0] * B[..., 0] - A[..., 1] * Bc[..., 1]

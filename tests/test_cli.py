@@ -17,7 +17,7 @@ from qgft import (
     random_signal,
     random_spectrum,
 )
-from qgft import cli, qft, signal, verify
+from qgft import cli, qft, verify
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import encode_qsig, read_ppm, read_qsig, write_ppm, write_qsig
 from qgft.kernels import BUILTIN_FAMILIES
@@ -437,8 +437,8 @@ def test_groups_of_rank_above_32(rng, tmp_path, capsys):
     assert capsys.readouterr().out.count("result: PASS (52 checks") == 2
 
 
-# From signal.PARALLEL_DFT_MIN on, one of the fast core's two plane DFTs
-# runs on a worker thread; this group is at or above it.
+# From qft.PARALLEL_DFT_MIN on, the fast core runs each phase in two
+# halves, one of them on a worker thread; this group is at or above it.
 THREADED_MODULI = (16, 18)
 
 
@@ -454,7 +454,7 @@ def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
     # a finite file whose transform or smoothing overflows float64; the
     # worker thread must see the command's errstate, or its FFT warns
     group = FiniteAbelianGroup(moduli)
-    assert moduli != THREADED_MODULI or group.order >= signal.PARALLEL_DFT_MIN
+    assert moduli != THREADED_MODULI or group.order >= qft.PARALLEL_DFT_MIN
     grid = QSpectrum if side == "dual" else QSignal
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
     write_qsig(str(src), grid(group, np.full((group.order, group.order, 4), 1e308)))

@@ -152,12 +152,13 @@ def test_haar_weights():
 
 def test_dft_matrices(z3x4):
     z3, z4 = FiniteAbelianGroup((3,)), FiniteAbelianGroup((4,))
-    for (inverse, conjugated), m in z3x4.dft_matrices.items():
+    assert list(z3x4.dft_matrices) == [False, True]  # keyed by inverse
+    for inverse, m in z3x4.dft_matrices.items():
         assert not m.flags.writeable
         # a product group's matrix is the Kronecker product of its factors'
-        parts = (h.dft_matrices[inverse, conjugated] for h in (z3, z4))
+        parts = (h.dft_matrices[inverse] for h in (z3, z4))
         assert np.allclose(m, np.kron(*parts), rtol=0, atol=1e-15)
-    fwd, inv = z3x4.dft_matrices[False, False], z3x4.dft_matrices[True, False]
+    fwd, inv = z3x4.dft_matrices[False], z3x4.dft_matrices[True]
     assert np.allclose(fwd @ inv, np.eye(12), rtol=0, atol=1e-14)
     with pytest.raises(ValueError, match="read-only"):
         fwd[0, 0] = 0

@@ -451,6 +451,22 @@ def test_tiny_core_matches_the_pocketfft_core(monkeypatch, rng, mods):
                 assert _rel_gap(tiny, op(x, axes).values) <= 1e-13, op.__name__
 
 
+@pytest.mark.parametrize("mods", [(3, 4), (8,)])
+def test_fast_core_ignores_the_dft_matrix_limit(monkeypatch, rng, mods):
+    # the DFT matrices serve only whole-grid DFTs: with the two products off,
+    # the core's own DFTs are pocketfft calls whatever DFT_MATRIX_MAX says
+    g = FiniteAbelianGroup(mods)
+    assert g.order <= signal.DFT_MATRIX_MAX
+    monkeypatch.setattr(qft, "TINY_CORE_MAX", 0)
+    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
+        for op in FRAME_OPS[:6]:
+            x = _op_input(op, g, rng)
+            matrices = op(x, axes).values
+            with monkeypatch.context() as m:
+                m.setattr(signal, "DFT_MATRIX_MAX", 0)
+                assert np.array_equal(matrices, op(x, axes).values), op.__name__
+
+
 def test_tiny_core_cache_is_bounded(rng):
     # Z_1 factors make infinitely many groups of one order, and the default
     # axis pair lives as long as the module
@@ -514,7 +530,7 @@ def test_fast_working_set_is_one_payload(rng, mods):
 def test_fast_working_set_on_two_threads(monkeypatch, rng, mods):
     # the same bound with each phase of the core in halves on two threads,
     # both halves' block scratch alive at once
-    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", 2)
+    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", 2)
     test_fast_working_set_is_one_payload(rng, mods)
 
 

@@ -1,10 +1,14 @@
 """Smoke tests: the example scripts run end to end against the library."""
 
+import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from qgft import qft, signal
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +56,16 @@ def test_output_digest_script():
         assert res.returncode == 0, res.stderr
         assert re.fullmatch(r"[0-9a-f]{64}\n", res.stdout)
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_output_digest_covers_each_side_of_every_size_switch():
+    # a threshold that moves must not silently drop a path from the digest
+    script = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
+    threaded = [math.prod(m) for m in script["THREADED_GROUPS"]]
+    assert min(threaded) >= qft.PARALLEL_DFT_MIN and any(n % 2 for n in threaded)
+    orders = [math.prod(m) for m in script["GROUPS"] + script["CORE_GROUPS"]]
+    assert any(qft.TINY_CORE_MAX < n < qft.PARALLEL_DFT_MIN for n in orders)
+    assert any(n <= signal.DFT_MATRIX_MAX for n in orders)
 
 
 def test_gate_margin_script():

@@ -30,7 +30,7 @@ from qgft import (
 from qgft.quat import qmul
 from qgft import cli, kernels, qft, signal
 from qgft.fileio import decode_qsig, encode_qsig, read_qsig, write_qsig
-from qgft.signal import _NonFiniteError, _grid_fft
+from qgft.signal import _NonFiniteError, _grid_fft, _pocketfft
 from reference import symplectic_split
 
 
@@ -162,6 +162,12 @@ def test_frozen_grids_copy_and_pickle(rng, z3x4):
 DIRECTIONS = pytest.mark.parametrize("inverse", [False, True], ids=["fftn", "ifftn"])
 
 
+def _mirrored_fft(x, g, inverse, out=None):
+    """The fast core's e plane: the second variable's DFT mirrored, then the first's."""
+    y = _pocketfft(x, g, inverse, 1, out, mirror=True)
+    return _pocketfft(y, g, inverse, 0, y)
+
+
 @pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4), (17, 1), (1, 3, 1, 6)])
 @DIRECTIONS
 def test_grid_fft_in_place_and_mirrored(rng, moduli, inverse):
@@ -174,13 +180,13 @@ def test_grid_fft_in_place_and_mirrored(rng, moduli, inverse):
     # a strided plane, as the fast core uses it, and the mirrored second axis
     planes = np.zeros((n, n, 2), dtype=np.complex128)
     planes[..., 1] = x
-    _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1], mirror=True)
+    _mirrored_fft(planes[..., 1], g, inverse, out=planes[..., 1])
     assert np.allclose(planes[..., 1], want[:, neg], rtol=0, atol=1e-12 * np.abs(want).max())
     assert not planes[..., 0].any()
     # Z_1 factors change neither the canonical order nor any bit of the DFT
     bare = FiniteAbelianGroup(tuple(m for m in moduli if m > 1) or (1,))
     assert np.array_equal(want, _grid_fft(x, bare, inverse))
-    assert np.array_equal(planes[..., 1], _grid_fft(x, bare, inverse, mirror=True))
+    assert np.array_equal(planes[..., 1], _mirrored_fft(x, bare, inverse))
 
 
 @pytest.mark.parametrize("moduli", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3)])
@@ -194,8 +200,7 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
     for limit in (signal.DFT_MATRIX_MAX, 0):  # 0: pocketfft at every order
         monkeypatch.setattr(signal, "DFT_MATRIX_MAX", limit)
         planes = x.copy()
-        mirrored = _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1], mirror=True)
-        assert mirrored.base is planes
+        assert _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1]).base is planes
         results.append((_grid_fft(x, g, inverse), _grid_fft(x[..., 0], g, inverse), planes))
     for got, want in zip(*results):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -205,8 +210,8 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
 @pytest.mark.parametrize("moduli", [(288,), (9, 32), (5, 7, 9), (1, 18, 1, 16)])
 def test_threaded_dfts_give_the_sequential_bits(monkeypatch, rng, moduli):
     g = FiniteAbelianGroup(moduli)
-    assert g.order >= signal.PARALLEL_DFT_MIN
-    f, F, h = random_signal(g, rng), random_spectrum(g, rng), random_signal(g, rng)
+    assert g.order >= qft.PARALLEL_DFT_MIN
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
     axes = random_axis_pair(rng)
 
     calls = [(op, f) for op in qft.FORWARD_FAST.values()]
@@ -216,73 +221,79 @@ def test_threaded_dfts_give_the_sequential_bits(monkeypatch, rng, moduli):
         for op, x in calls:
             yield op(x).values
             yield op(x, axes).values
-        yield convolve(f, h).values
 
     threaded = list(outputs())
-    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", g.order + 1)
+    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", g.order + 1)
     for got, want in zip(threaded, outputs(), strict=True):
         assert np.array_equal(got, want)
 
 
-def test_both_runs_in_the_callers_context_and_joins(monkeypatch):
-    monkeypatch.setattr(signal, "PARALLEL_DFT_MIN", 0)
-    before = threading.active_count()
+def test_halves_run_in_the_callers_context_and_join(monkeypatch):
+    before, seen = threading.active_count(), {}
 
-    def where():
-        return threading.current_thread() is threading.main_thread(), np.geterr()
+    def where(rows, scratch):
+        main = threading.current_thread() is threading.main_thread()
+        seen[rows.indices(4)] = main, np.geterr(), np.getbufsize()
 
+    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", 5)  # below it: the whole range, here
+    qft._in_halves(where, 4)
+    assert list(seen) == [(0, 4, 1)] and seen[0, 4, 1][0]
+    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", 0)
+    seen.clear()
     with np.errstate(over="ignore", invalid="raise"):
-        (main, err), (main_too, err_too) = signal._both(where, where, 1)
+        qft._in_halves(where, 4)
+    (main, err, size), (main_too, err_too, size_too) = seen[0, 2, 1], seen[2, 4, 1]
     assert not main and main_too and err == err_too
     assert err["over"] == "ignore" and err["invalid"] == "raise"
+    # the worker's context is copied after the ufunc buffers are bounded
+    assert size == size_too == 16 != np.getbufsize()
     assert threading.active_count() == before
 
-    def fail():
-        raise MemoryError("second")
+    for failing in (0, 2):  # the other half is still running when one fails
+        done = []
 
-    def slow():  # still running when the caller's call fails
-        time.sleep(0.05)
-        return "done"
+        def phase(rows, scratch, failing=failing):
+            if rows.indices(4)[0] == failing:
+                raise MemoryError(f"half {failing}")
+            time.sleep(0.05)
+            done.append(rows)
 
-    for first, second, message in ((fail, slow, None), (slow, fail, "second")):
-        with pytest.raises(MemoryError, match=message):
-            signal._both(first, second, 1)
-        assert threading.active_count() == before
+        with pytest.raises(MemoryError, match=f"half {failing}"):
+            qft._in_halves(phase, 4)
+        assert done and threading.active_count() == before
 
-    def no_thread(self):  # a host out of threads: both calls run in the caller
+    def no_thread(self):  # a host out of threads: both halves run in the caller
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert signal._both(lambda: 1, lambda: 2, 1) == (1, 2)
+    seen.clear()
+    qft._in_halves(where, 4)
+    assert list(seen) == [(0, 2, 1), (2, 4, 1)] and all(main for main, _, _ in seen.values())
 
 
-@pytest.mark.parametrize("op", ["rqft_fast", "convolve"])
-def test_worker_errors_reach_the_caller(monkeypatch, rng, tmp_path, capsys, op):
+def test_worker_errors_reach_the_caller(monkeypatch, rng, tmp_path, capsys):
     g = FiniteAbelianGroup((9, 32))
-    assert g.order >= signal.PARALLEL_DFT_MIN
+    assert g.order >= qft.PARALLEL_DFT_MIN
     f = random_signal(g, rng)
     write_qsig(str(tmp_path / "f.qsig"), f)
-    # convolve's worker runs whole DFTs; the fast core's runs the row phase's
-    # axis-1 DFTs, then the column phase's axis-0 ones: fail in each in turn
-    for axis in (None,) if op == "convolve" else (1, 0):
-        def worker_out_of_memory(*args, axis_=axis, **kwargs):
+    # the fast core's worker runs the row phase's second-variable DFTs, then
+    # the column phase's first-variable ones: fail in each in turn
+    for variable in (1, 0):
+        def worker_out_of_memory(*args, failing=variable, **kwargs):
             if (threading.current_thread() is not threading.main_thread()
-                    and kwargs.get("axis") == axis_):
+                    and args[3] == failing):
                 raise MemoryError("worker")
-            return _grid_fft(*args, **kwargs)
+            return _pocketfft(*args, **kwargs)
 
-        monkeypatch.setattr(signal if op == "convolve" else qft, "_grid_fft",
-                            worker_out_of_memory)
+        monkeypatch.setattr(qft, "_pocketfft", worker_out_of_memory)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="worker"):
-            convolve(f, f) if op == "convolve" else qft.rqft_fast(f)
+            qft.rqft_fast(f)
         assert threading.active_count() == before
-        if op == "rqft_fast":
-            assert cli.main(["transform", str(tmp_path / "f.qsig"),
-                             str(tmp_path / "F.qsig")]) == 2
-            err = capsys.readouterr().err
-            assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
-            assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
+        assert cli.main(["transform", str(tmp_path / "f.qsig"), str(tmp_path / "F.qsig")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
+        assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
 
 
 def test_lp_norms_constant():
