@@ -18,8 +18,9 @@ halves).  On the nine groups it also hashes every other public operation:
 ``transform_W``, ``transform_beta``, both kernel orders of
 ``multiplication_pairing`` and ``classical_dft_via_rqft`` under both axis
 pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
-and ``inner_q``.  Only public names are used, so older trees hash the
-same way.
+and ``inner_q``.  ``transform_W`` and ``transform_beta`` also run under both
+axis pairs at orders 256, 288 and 315, whose payloads are larger than one
+bin-map block.  Only public names are used, so older trees hash the same way.
 """
 
 import hashlib
@@ -57,6 +58,8 @@ GROUPS = [(1,), (5,), (8,), (3, 4), (2, 2, 3), (16,), (17,), (32,), (4, 8)]
 # threads from qft.PARALLEL_DFT_MIN on (an odd order splits into uneven halves)
 CORE_GROUPS = [(8, 32)]
 THREADED_GROUPS = [(16, 18), (5, 7, 9)]
+# transform_W and transform_beta on these too: their payloads span several map blocks
+BLOCKED_MAP_GROUPS = CORE_GROUPS + THREADED_GROUPS
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
 
@@ -76,6 +79,9 @@ def main() -> None:
             for name in EVALUATORS:
                 x = F if name.startswith("i") else f
                 add(f"{name}/{g!r}/{axes_label}", getattr(qgft, name)(x, axes).values)
+            if moduli in BLOCKED_MAP_GROUPS:
+                add(f"transform_W/{g!r}/{axes_label}", transform_W(f, axes).values)
+                add(f"transform_beta/{g!r}/{axes_label}", transform_beta(F, axes).values)
         add(f"convolve/{g!r}", convolve(f, random_signal(g, rng)).values)
         if moduli not in GROUPS:
             continue

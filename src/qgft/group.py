@@ -46,14 +46,15 @@ class FiniteAbelianGroup:
     moduli: tuple[int, ...]
 
     def __init__(self, moduli) -> None:
-        if isinstance(moduli, int):
-            moduli = (moduli,)
-        try:  # operator.index refuses 2.7, which int() would truncate
-            ints = tuple(map(operator.index, moduli))
+        # a scalar is the one modulus of a cyclic group, whatever its integer type;
+        # operator.index refuses 2.7, which int() would truncate
+        scalars = moduli if np.iterable(moduli) else (moduli,)
+        try:
+            ints = tuple(map(operator.index, scalars))
         except TypeError:
             ints = ()
         if not ints or min(ints) < 1:
-            raise ValueError(f"moduli must be positive integers, got {tuple(moduli)}")
+            raise ValueError(f"moduli must be positive integers, got {moduli!r}")
         object.__setattr__(self, "moduli", ints)
 
     @property

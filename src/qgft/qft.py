@@ -243,14 +243,15 @@ def _in_halves(phase, order: int) -> None:
 
 
 def _core_maps(axes: AxisPair, left: bool, before: bool):
-    """A kind's entry and exit ``_bin_map`` terms, frame change included.
+    """A kind's ``_bin_map`` maps, frame change included: the entry's
+    (flipped or None, plain) and the exit's plain map.
 
     In frame coordinates v = x M^T (M's rows are 1, mu1, mu2, mu3) the
     entry writes z1 + mu1 z2 and z1 - mu1 z2 as the planes
     (v0 - s v3, v1 + v2) and (v0 + s v3, v1 - v2), with s = 1 for the
     right split and -1 for the left one, whose z2 is the conjugate of the
-    right split's; a "before" flip reads v2 and v3 at -x1, a second,
-    row-flipped term.  The exit multiplies the f2 plane by -mu1, flips the
+    right split's; a "before" flip reads v2 and v3 at -x1, through the
+    flipped map.  The exit multiplies the f2 plane by -mu1, flips the
     sign of its mu3 part for the left split and maps back, y -> y R M.
     For the default axes M = I and every map is a signed 0/1 matrix, so
     the products are exact.  Cached on the axis pair.
@@ -263,14 +264,13 @@ def _core_maps(axes: AxisPair, left: bool, before: bool):
     plain = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], float)
     mixed = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, -1], [-s, 0, s, 0]], float)
     frame = axes.frame_matrix
-    if before:  # the row-flipped term first: its gather then needs no copy
-        entry = ((True, False, _frozen(frame.T @ mixed)),
-                 (False, False, _frozen(frame.T @ plain)))
+    if before:
+        entry = _frozen(frame.T @ mixed), _frozen(frame.T @ plain)
     else:
-        entry = ((False, False, _frozen(frame.T @ (plain + mixed))),)
+        entry = None, _frozen(frame.T @ (plain + mixed))
     rot = np.eye(4)
     rot[2:, 2:] = [[0, -s], [1, 0]]
-    maps = axes._maps[key] = entry, ((False, False, _frozen(rot @ frame)),)
+    maps = axes._maps[key] = entry, _frozen(rot @ frame)
     return maps
 
 
@@ -305,7 +305,7 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
 
     def by_rows(rows, scratch):
         c, e = planes[rows, :, 0], planes[rows, :, 1]
-        _bin_map(x.values, entry, grp.neg_perm, out, scratch, rows)
+        _bin_map(x.values, *entry, grp.neg_perm, out, scratch, rows)
         _pocketfft(c, grp, inverse, 1, c)
         _pocketfft(e, grp, inverse, 1, e, mirror=True)
 
@@ -320,7 +320,7 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
             (moved, partner), step = grp.neg_swaps, 2 * max(1, scratch.nbytes // (4 * e[0].nbytes))
             for i in range(0, len(moved), step):  # pairs that trade places are adjacent
                 e[moved[i:i + step]] = e[partner[i:i + step]]
-        _bin_map(band, exit_, grp.neg_perm, band, scratch)
+        _bin_map(band, None, exit_, grp.neg_perm, band, scratch)
 
     _in_halves(by_rows, n)
     _in_halves(by_cols, n)
@@ -343,8 +343,8 @@ def _tiny_core(group: FiniteAbelianGroup, axes: AxisPair, inverse: bool, left: b
     as one on the axis pair is not: Z_1 factors make endless groups of one order.
     """
     n = group.order
-    (*flipped, (_, _, plain)), ((_, _, exit_),) = _core_maps(axes, left, flip == "before")
-    mixed = flipped[0][2] if flipped else 0.0  # the entry's row-flipped part
+    (flipped, plain), exit_ = _core_maps(axes, left, flip == "before")
+    mixed = 0.0 if flipped is None else flipped  # the entry's row-flipped part
     d = group.dft_matrices[inverse]
     # [x, p, v]: the axis-1 DFT that takes plane component p at x2 = x to v
     dfts = np.stack([d, d.conj()], axis=1)[:, [0, 0, 1, 1]]

@@ -281,8 +281,8 @@ def _pocketfft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool, var
     return x.reshape(values.shape)
 
 
-# Row blocks of at least this many bytes stay in cache across the terms of a
-# bin map, and its block-sized temporaries stay far below one payload.
+# Row blocks of at least this many bytes stay in cache across the gather and
+# products of a bin map, and its block-sized scratch stays far below one payload.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -293,17 +293,17 @@ def _scratch(order: int) -> np.ndarray:
     return np.empty(max(_BLOCK_BYTES, 32 * order, 2 * order * order) // 8)
 
 
-def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray, scratch=None,
-             rows: slice = slice(None)) -> None:
-    """out = sum of x[rows][:, cols] @ m over ``terms`` of (flip_rows, flip_cols, m).
+def _bin_map(x: np.ndarray, flipped, plain: np.ndarray, neg: np.ndarray, out: np.ndarray,
+             scratch=None, rows: slice = slice(None)) -> None:
+    """out = x @ plain, plus x read at -x1 @ flipped unless ``flipped`` is None.
 
-    Each term reads the ``(n, n, 4)`` payload with its first and/or second
-    variable negated (``neg`` is the group's negation permutation) and
-    applies the real 4x4 map ``m`` to every bin, as a row vector, in the
-    ``rows`` of ``out``, by row blocks the size of ``scratch`` (a ``_scratch``
-    by default), which holds their row gathers and the products that cannot
-    go straight into ``out`` (a gather's gets its own array).  ``x`` and ``out``
-    may be column bands if no term flips, and one array for one plain term."""
+    The real 4x4 maps act on every bin of the ``(n, n, 4)`` payload, as a row
+    vector (``neg`` is the group's negation permutation), in the ``rows`` of
+    ``out``, by row blocks the size of ``scratch`` (a ``_scratch`` by default).
+    The block's row gather goes into scratch, its flipped product straight into
+    ``out`` and then its plain product into scratch, to be added.  ``x`` and
+    ``out`` may be one array, or column bands, if ``flipped`` is None; in place
+    the product goes through scratch, not through a copy numpy allocates."""
     scratch = _scratch(len(x)) if scratch is None else scratch
     # a payload's rows of bins make one matrix of bins; a band's do not
     shape = (-1, 4) if x.flags.c_contiguous and out.flags.c_contiguous else (-1,) + x.shape[1:]
@@ -311,41 +311,31 @@ def _bin_map(x: np.ndarray, terms, neg: np.ndarray, out: np.ndarray, scratch=Non
     start, stop, _ = rows.indices(len(out))
     for i in range(start, stop, step):
         block = slice(i, min(i + step, stop))
-        dst = out[block].reshape(shape)
-        for t, (flip_rows, flip_cols, m) in enumerate(terms):
-            if flip_rows or t or x is out and len(shape) > 2:
-                tmp = scratch[:dst.size].reshape((-1,) + x.shape[1:])
-            src = x.take(neg[block], 0, tmp, "clip") if flip_rows else x[block]  # "raise" buffers
-            src = src[:, neg] if flip_cols else src
-            if t:  # the product of a gather into scratch gets an array of its own
-                prod = None if flip_rows else tmp.reshape(shape)
-                dst += np.matmul(src.reshape(shape), m, out=prod)
-            elif len(shape) == 2 or x is not out:  # numpy copies an overlapping payload itself
-                np.matmul(src.reshape(shape), m, out=dst)
-            else:  # a band in place: through scratch, not a copy numpy allocates
-                dst[...] = np.matmul(src, m, out=tmp)
+        dst, src = out[block].reshape(shape), x[block].reshape(shape)
+        tmp = scratch[:dst.size].reshape((-1,) + x.shape[1:])
+        if flipped is not None:  # take's "raise" mode would buffer the gather
+            np.matmul(x.take(neg[block], 0, tmp, "clip").reshape(shape), flipped, out=dst)
+            dst += np.matmul(src, plain, out=tmp.reshape(shape))
+        elif x is out:
+            dst[...] = np.matmul(src, plain, out=tmp.reshape(shape))
+        else:
+            np.matmul(src, plain, out=dst)
 
 
-# Per frame component (a, b, c, d): whether it reads -x1 and whether -x2.
-_W_FLIPS = ((False, False), (False, False), (True, False), (True, False))
-_BETA_FLIPS = ((False, False), (False, True), (True, False), (True, True))
+def _projection(axes: AxisPair, components: tuple) -> np.ndarray:
+    """The projection onto the frame axes e_k for k in ``components``.
 
-
-def _flip_terms(axes: AxisPair, flips) -> tuple:
-    """``_bin_map`` terms that flip frame component k as ``flips[k]`` says.
-
-    Component k of the frame is the projection onto the frame axis e_k,
-    the rank-one map outer(e_k, e_k) in standard coordinates; components
-    with the same flips share one term.
+    In standard coordinates it is the sum of the rank-one maps outer(e_k, e_k),
+    added up from 0.0, so that no entry is a negative zero.  Cached on the
+    axis pair.
     """
-    terms = axes._maps.get(flips)
-    if terms is None:
-        frame, sums = axes.frame_matrix, {}
-        for k, flip in enumerate(flips):
-            sums[flip] = sums.get(flip, 0.0) + np.outer(frame[k], frame[k])
-        terms = tuple((rows, cols, _frozen(m)) for (rows, cols), m in sums.items())
-        axes._maps[flips] = terms
-    return terms
+    m = axes._maps.get(components)
+    if m is None:
+        frame, m = axes.frame_matrix, 0.0
+        for k in components:
+            m = m + np.outer(frame[k], frame[k])
+        m = axes._maps[components] = _frozen(m)
+    return m
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -385,11 +375,12 @@ def transform_W(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     its own inverse, preserves all norms, and commutes with left
     multiplication by elements of the plane span{1, mu1}.  It converts the
     sandwiched transform into the right-sided one.  With P the projection
-    onto span{mu2, mu3} it is f @ (I - P) + f(-x1, .) @ P per bin, written
-    by row blocks into the one array it returns.
+    onto span{mu2, mu3} it is f(-x1, .) @ P + f @ (I - P) per bin, one
+    ``_bin_map`` into the one array it returns.
     """
     out = np.empty(f.values.shape)
-    _bin_map(f.values, _flip_terms(axes, _W_FLIPS), f.group.neg_perm, out)
+    _bin_map(f.values, _projection(axes, (2, 3)), _projection(axes, (0, 1)),
+             f.group.neg_perm, out)
     return QSignal._own(f.group, out)
 
 
@@ -401,13 +392,19 @@ def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
         (a, b, c, d)(u, v) -> (a(u,v), b(u,-v), c(-u,v), d(-u,-v)).
 
     A bin permutation per component, hence norm-preserving.  Defined on
-    spectra only, which is where it is consumed.
+    spectra only, which is where it is consumed: by the multiplication
+    pairing, an oracle-side check.  Each component is the whole payload read
+    with its flips, times the projection onto that frame axis, one read at a
+    time, so a call allocates a few payload-sized temporaries.
     """
     if not isinstance(g, QSpectrum):
         raise TypeError("transform_beta acts on spectra (dual side)")
-    out = np.empty(g.values.shape)
-    _bin_map(g.values, _flip_terms(axes, _BETA_FLIPS), g.group.neg_perm, out)
-    return QSpectrum._own(g.group, out)
+    v, neg = g.values, g.group.neg_perm
+    out = v.reshape(-1, 4) @ _projection(axes, (0,))
+    out += v[:, neg].reshape(-1, 4) @ _projection(axes, (1,))
+    out += v[neg].reshape(-1, 4) @ _projection(axes, (2,))
+    out += v[np.ix_(neg, neg)].reshape(-1, 4) @ _projection(axes, (3,))
+    return QSpectrum._own(g.group, out.reshape(v.shape))
 
 
 def random_signal(group: FiniteAbelianGroup, rng: np.random.Generator) -> QSignal:

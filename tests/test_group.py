@@ -37,11 +37,14 @@ def test_constructor_validation():
         FiniteAbelianGroup((0,))
     assert FiniteAbelianGroup(6).moduli == (6,)
     assert FiniteAbelianGroup((3, 4)).order == 12
-    for bad in ((2.7,), (3, 2.0), ("3",)):  # int() would truncate or parse these
+    for bad in ((2.7,), (3, 2.0), ("3",), 2.7, None, "3"):  # int() would truncate or parse these
         with pytest.raises(ValueError, match="positive integers"):
             FiniteAbelianGroup(bad)
     moduli = FiniteAbelianGroup((np.int64(3), 4)).moduli
     assert moduli == (3, 4) and all(type(n) is int for n in moduli)
+    for scalar in (np.int64(5), np.uint8(5)):
+        assert FiniteAbelianGroup(scalar) == FiniteAbelianGroup(5)
+        assert type(FiniteAbelianGroup(scalar).moduli[0]) is int
 
 
 def test_group_law(z4):
