@@ -61,7 +61,9 @@ fast core allocates; up to it, the core's one temporary is two payloads.
 from __future__ import annotations
 
 import contextvars
+import struct
 import threading
+from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -115,42 +117,99 @@ _HAMILTON = qmul(np.eye(4)[:, None], np.eye(4))  # [b, c] = e_b * e_c, e = 1, i,
 _HAMILTON_SIDES = {True: _HAMILTON.reshape(4, 16), False: _HAMILTON.swapaxes(0, 1).reshape(4, 16)}
 
 
+def _stage_matrix(k: np.ndarray, left: bool) -> np.ndarray:
+    """The ``(4n, 4n)`` real matrix of one stage, from its character table.
+
+    Multiplication by each k[u, x] is a real 4x4 matrix, so summing a grid
+    axis against ``k`` is one product with this matrix:
+    m[(x, c), (u, a)] = component a of k[u, x] * e_c (left) or
+    e_c * k[u, x].  It is built by one product too: on tiny grids,
+    ``tensordot``'s argument handling costs more than that.
+    """
+    n = k.shape[0]
+    m = (k.reshape(n * n, 4) @ _HAMILTON_SIDES[left]).reshape(n, n, 4, 4)
+    return m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
+
+
+def _apply_stage(v: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """One stage's sum over grid axis ``axis`` of a ``(n, n, 4)`` payload:
+    O(n^3) time in an O(n^2) working set.  Plain transposes move the axes,
+    which costs less than ``moveaxis`` on tiny grids."""
+    vt = v.transpose(1, 0, 2) if axis == 0 else v
+    out = (vt.reshape(-1, m.shape[0]) @ m).reshape(vt.shape)
+    return out.transpose(1, 0, 2) if axis == 0 else out
+
+
 def _contract(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray:
     """Sum a character table against one grid axis of a ``(n, n, 4)`` payload.
 
     Returns out with ``axis`` re-indexed by u: sum_x k[u, x] * v(.., x, ..)
-    if ``left``, else sum_x v(.., x, ..) * k[u, x].  Multiplication by each
-    k[u, x] is a real 4x4 matrix, so the whole sum is one ``(4n, 4n)``
-    matrix product: O(n^3) time in an O(n^2) working set.  It is built by
-    one product too, and plain transposes move the axes: on tiny grids,
-    ``tensordot``'s and ``moveaxis``'s argument handling cost more than that.
+    if ``left``, else sum_x v(.., x, ..) * k[u, x].
     """
-    n = k.shape[0]
-    # m[(x, c), (u, a)] = component a of k[u, x] * e_c (left) or e_c * k[u, x]
-    m = (k.reshape(n * n, 4) @ _HAMILTON_SIDES[left]).reshape(n, n, 4, 4)
-    m = m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
-    vt = v.transpose(1, 0, 2) if axis == 0 else v
-    out = (vt.reshape(-1, 4 * n) @ m).reshape(vt.shape)
-    return out.transpose(1, 0, 2) if axis == 0 else out
+    return _apply_stage(v, _stage_matrix(k, left), axis)
+
+
+# Stage matrices shared by the defining sums inside ``_stage_memo``; None
+# outside it, so an oracle called on its own builds its tables as defined.
+_STAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qgft_stage_memo", default=None)
+# A memo keeps at most this many: the 24 stages (axis, direction, kernel
+# side) of ``verify``'s three fixed axis pairs.  One of its checks draws an
+# axis pair per trial, so with no bound a run would keep 2 more per trial.
+_STAGE_MEMO_MAX = 24
+
+
+@contextmanager
+def _stage_memo():
+    """Let the defining sums inside the block share their stage matrices.
+
+    Up to order ``TINY_CORE_MAX`` an entry is at most 128 KiB, and a memo
+    holds at most ``_STAGE_MEMO_MAX`` of them, 3 MiB; above that order
+    nothing is kept.  The memo lives in the caller's context and ends with
+    the block, an exception included.
+    """
+    token = _STAGE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _STAGE_MEMO.reset(token)
 
 
 def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarray:
-    """The defining sum over ``x``'s payload: one ``_contract`` per stage.
+    """The defining sum over ``x``'s payload: one stage matrix per stage.
 
     A stage (a, left) sums grid axis a against the character along
     mu_{a+1}, kernel on the left of the payload if ``left``, and stages run
     in the order given.  Forward sums use conj(exp(mu theta)) =
     exp(-mu theta); inverse sums use exp(mu theta) and the dual weight.
     ``angle_table`` is exactly symmetric, so every table is already
-    [output, summed] for both directions; both tables share one cos and
-    one sin of it.
+    [output, summed] for both directions; the tables of one call share one
+    cos and one sin of it, and each is built just before its stage.
+
+    Inside ``_stage_memo`` and up to ``TINY_CORE_MAX`` the first
+    ``_STAGE_MEMO_MAX`` stage matrices are built once and kept read-only,
+    keyed on (group, the axis' float bits, ``inverse``, ``left``): the bits,
+    because 0.0 == -0.0 but their tables differ in signed zeros.  An entry
+    is the matrix a fresh build gives, so the sums are the same with the
+    memo or without it.
     """
-    grp, s = x.group, (1.0 if inverse else -1.0)
-    cos, sin = np.cos(grp.angle_table), np.sin(grp.angle_table)
-    tables = _characters(cos, sin, s * axes.mu1), _characters(cos, sin, s * axes.mu2)
+    grp = x.group
+    memo = _STAGE_MEMO.get() if grp.order <= TINY_CORE_MAX else None
+    trig = None
     v = x.values
     for axis, left in stages:
-        v = _contract(v, tables[axis], axis, left)
+        mu = axes.mu2 if axis else axes.mu1
+        m = None
+        if memo is not None:
+            key = (grp, struct.pack("3d", mu.x, mu.y, mu.z), inverse, left)
+            m = memo.get(key)
+        if m is None:
+            if trig is None:
+                trig = np.cos(grp.angle_table), np.sin(grp.angle_table)
+            m = _stage_matrix(_characters(*trig, (1.0 if inverse else -1.0) * mu), left)
+            if memo is not None and len(memo) < _STAGE_MEMO_MAX:
+                memo[key] = _frozen(m)
+        v = _apply_stage(v, m, axis)
     return v * grp.dual_weight if inverse else v
 
 

@@ -8,9 +8,12 @@ checks; Plancherel: ``plancherel-*`` and the ``*parseval*`` checks; the
 RQFT/SQFT relations: ``sqft-reflection-relation``, ``sqft-equals-rqft-*``,
 ``isqft-reflection-identity`` and ``adjoint-pairing``; convolution:
 ``convolution-defining-sum`` at sampled output points.  Meant for desk-scale
-groups: these use the direct evaluators, O(|G|^3) time per stage.  The checks
-look the evaluators up by module name when they run, so the tests show the
-suite's power by substituting a faulty evaluator and pinning what then fails.
+groups: these use the direct evaluators, O(|G|^3) time per stage.  For as
+long as a run lasts, its defining sums share their stage matrices (see
+``qft._defining_sum``); outside a run every oracle call builds its own.  The
+checks look the evaluators up by module name when they run, so the tests show
+the suite's power by substituting a faulty evaluator and pinning what then
+fails.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .qft import (
     INVERSE_DIRECT,
     INVERSE_FAST,
     TransformKind,
+    _stage_memo,
     classical_dft_via_rqft,
     irqft_direct,
     isqft_direct,
@@ -200,7 +204,16 @@ def run_verification(
     seed: int = 0,
     tol: float | None = None,
 ) -> VerifyReport:
-    """Run the whole identity suite on ``group`` and return the report."""
+    """Run the whole identity suite on ``group`` and return the report.
+
+    The run's defining sums share their stage matrices: the memo is opened
+    here and ends with the run, also when a check raises.
+    """
+    with _stage_memo():
+        return _run_checks(group, trials, seed, tol)
+
+
+def _run_checks(group, trials, seed, tol) -> VerifyReport:
     h = _Harness(group, trials, seed, tol)
     rng = h.rng
     g = group

@@ -274,10 +274,12 @@ def test_direct_matches_literal_sums(rng):
                                    terms.sum(axis=(0, 1)) * g.dual_weight, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mods", [(1,), (5,), (3, 4), (2, 2, 3), (16,)])
+@pytest.mark.parametrize("mods", [(1,), (5,), (3, 4), (2, 2, 3), (16,), (33,)])
 def test_oracle_matches_its_earlier_form_bit_for_bit(monkeypatch, rng, mods):
     # every direct evaluator's stage list and both pairing orders, against
-    # per-table characters and the tensordot/moveaxis contraction
+    # per-table characters and the tensordot/moveaxis contraction; alone, and
+    # twice more in a verify run's scope, where the second pass reads every
+    # stage matrix from the memo (none is kept above TINY_CORE_MAX)
     g = FiniteAbelianGroup(mods)
     f, F = random_signal(g, rng), random_spectrum(g, rng)
     calls = [partial(fn, f) for fn in (rqft_direct, sqft_direct, lqft_direct)]
@@ -292,10 +294,13 @@ def test_oracle_matches_its_earlier_form_bit_for_bit(monkeypatch, rng, mods):
 
     for axes in (DEFAULT_AXES, random_axis_pair(rng)):
         got = [arrays(call(axes=axes)) for call in calls]
+        with qft._stage_memo():
+            got += [arrays(call(axes=axes)) for _ in range(2) for call in calls]
         with monkeypatch.context() as m:
             m.setattr(qft, "_defining_sum", defining_sum)
             want = [arrays(call(axes=axes)) for call in calls]
-        for a, b in zip(got, want):
+        assert len(got) == 3 * len(want)
+        for a, b in zip(got, want * 3):
             assert np.array_equal(a, b)
 
 

@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from qgft import FiniteAbelianGroup, kernels, qft, verify
+from qgft import AxisPair, FiniteAbelianGroup, Quaternion, kernels, qft, random_signal, verify
 from qgft.qft import TransformKind
 from qgft.verify import run_verification
 
@@ -183,3 +184,74 @@ def test_json_matches_asdict_rendering():
         "checks": [dataclasses.asdict(c) for c in report.checks],
     }
     assert report.to_json() == json.dumps(expected, indent=2)
+
+
+# --- the run's stage-matrix memo -------------------------------------------------
+
+
+def _record_builds(monkeypatch):
+    """The memo in scope (or None) at each character table the oracle builds."""
+    builds, build = [], qft._characters
+
+    def recording(*args):
+        builds.append(qft._STAGE_MEMO.get())
+        return build(*args)
+
+    monkeypatch.setattr(qft, "_characters", recording)
+    return builds
+
+
+def test_run_builds_each_stage_matrix_once(monkeypatch, z3x4):
+    builds = _record_builds(monkeypatch)
+    assert run_verification(z3x4, trials=2).all_passed
+    memo = builds[0]
+    assert memo and all(m is memo for m in builds)
+    assert len(builds) == len(memo)  # one build per key
+    assert not any(m.flags.writeable for m in memo.values())
+    assert qft._STAGE_MEMO.get() is None
+
+
+def test_memo_stays_bounded_as_trials_grow(monkeypatch, z3x4):
+    # fast-direct-rqft with random axes draws a new axis pair per trial
+    builds = _record_builds(monkeypatch)
+    run_verification(z3x4, trials=4)
+    assert len(builds[0]) == qft._STAGE_MEMO_MAX < len(builds)
+
+
+def test_memo_ends_with_a_run_that_raises(monkeypatch, z3x4):
+    builds = _record_builds(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("substituted evaluator")
+
+    monkeypatch.setattr(verify, "sqft_direct", broken)
+    with pytest.raises(RuntimeError, match="substituted evaluator"):
+        run_verification(z3x4, trials=1)
+    assert builds and builds[-1] is not None  # the memo was open when it raised
+    assert qft._STAGE_MEMO.get() is None
+
+
+def test_memo_keeps_signed_zero_axes_apart(monkeypatch, z3x4):
+    # 0.0 == -0.0, but the two axes' tables differ in signed zeros
+    builds = _record_builds(monkeypatch)
+    f = random_signal(z3x4, np.random.default_rng(1))
+    with qft._stage_memo():
+        qft.rqft_direct(f, AxisPair(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0)))
+        qft.rqft_direct(f, AxisPair(Quaternion(0, 1, -0.0, 0), Quaternion(0, -0.0, 1, 0)))
+    assert len(builds) == 4
+
+
+def test_oracle_outside_a_run_stores_nothing(monkeypatch, z3x4):
+    builds = _record_builds(monkeypatch)
+    f = random_signal(z3x4, np.random.default_rng(1))
+    qft.rqft_direct(f)
+    qft.rqft_direct(f)
+    assert builds == [None] * 4  # both tables of both calls, each built afresh
+
+
+def test_run_above_tiny_core_max_stores_nothing(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    group = FiniteAbelianGroup((33,))
+    assert group.order > qft.TINY_CORE_MAX
+    assert run_verification(group, trials=1).all_passed
+    assert builds and all(m == {} for m in builds)
