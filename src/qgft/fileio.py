@@ -63,12 +63,19 @@ class PpmFormatError(Exception):
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:
-    """Write the bytes-like ``chunks``, in order, to ``path`` via a
-    same-directory temp file and rename."""
+    """Write the bytes-like ``chunks``, in order, to ``path`` via a same-directory
+    temp file and rename, with the mode a plain ``open(path, "wb")`` would leave."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # process-wide: no thread of this package creates files
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
+            os.fchmod(fd, mode)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

@@ -140,15 +140,6 @@ def _apply_stage(v: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     return out.transpose(1, 0, 2) if axis == 0 else out
 
 
-def _contract(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray:
-    """Sum a character table against one grid axis of a ``(n, n, 4)`` payload.
-
-    Returns out with ``axis`` re-indexed by u: sum_x k[u, x] * v(.., x, ..)
-    if ``left``, else sum_x v(.., x, ..) * k[u, x].
-    """
-    return _apply_stage(v, _stage_matrix(k, left), axis)
-
-
 # Stage matrices shared by the defining sums inside ``_stage_memo``; None
 # outside it, so an oracle called on its own builds its tables as defined.
 _STAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -246,14 +237,15 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # ---------------------------------------------------------------------------
 # fast paths
 
-# Up to this group order the fast core is ``_tiny_core``'s two products: their
-# 40 n^3 multiply-adds cost less than pocketfft's many small calls (the
-# crossover is measured in the README's performance notes).
+# Up to this group order the fast core is ``_tiny_core``'s two products: their 40 n^3
+# multiply-adds cost less than pocketfft's many small calls (measured in CHANGES.md, "Tiny
+# grids at matrix speed: the defining-sum oracle without numpy's argument overhead, and the
+# whole fast core as two cached products").
 TINY_CORE_MAX = 32
 
-# From this group order on, the fast core's passes run on two threads, by row
-# halves, then by column halves: below it, starting threads costs more than the
-# overlap saves (the crossover is measured in the README's performance notes).
+# From this group order on, the fast core's passes run on two threads, by row halves, then
+# by column halves: below it, starting threads costs more than the overlap saves (measured
+# in CHANGES.md, "The whole fast core on two threads, by row halves and then by column halves").
 PARALLEL_DFT_MIN = 288
 
 

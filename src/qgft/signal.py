@@ -225,9 +225,9 @@ def reflect_conj(f: QSignal) -> QSignal:
     return type(f)._own(f.group, qconj(f.values[np.ix_(neg, neg)]))
 
 
-# Up to this group order the DFT over G x G is two products with the group's
-# DFT matrices: below it numpy's fixed cost per FFT call outweighs the
-# arithmetic (the crossover is measured in the README's performance notes).
+# Up to this group order the DFT over G x G is two products with the group's DFT matrices:
+# below it numpy's fixed cost per FFT call outweighs the arithmetic (measured in
+# CHANGES.md, "Tiny grids: DFT-matrix products replace pocketfft below a measured order").
 DFT_MATRIX_MAX = 16
 
 
@@ -287,10 +287,10 @@ _BLOCK_BYTES = 1 << 17
 
 
 def _scratch(order: int) -> np.ndarray:
-    """A ``_bin_map`` block for group order ``order``: ``_BLOCK_BYTES``, one row
-    or 1/16 payload, whichever is most (few numpy calls, each a GIL wait).
+    """A ``_bin_map`` block for group order ``order``: ``_BLOCK_BYTES``, one row or 1/16
+    payload, whichever is most (few numpy calls, each a GIL wait), but at most one payload.
     Allocate a worker thread's in its caller: a thread that allocates grows its own heap."""
-    return np.empty(max(_BLOCK_BYTES, 32 * order, 2 * order * order) // 8)
+    return np.empty(min(max(_BLOCK_BYTES, 32 * order, 2 * order * order), 32 * order * order) // 8)
 
 
 def _bin_map(x: np.ndarray, flipped, plain: np.ndarray, neg: np.ndarray, out: np.ndarray,

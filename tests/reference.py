@@ -85,7 +85,8 @@ def character_table_own_trig(group, axis: Quaternion) -> np.ndarray:
 
 
 def contract_tensordot(v: np.ndarray, k: np.ndarray, axis: int, left: bool) -> np.ndarray:
-    """``qft._contract`` through ``np.tensordot`` and ``np.moveaxis``."""
+    """``qft._apply_stage(v, qft._stage_matrix(k, left), axis)`` through
+    ``np.tensordot`` and ``np.moveaxis``."""
     n = k.shape[0]
     m = np.tensordot(k, _HAMILTON, axes=(2, 0 if left else 1))
     m = m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)

@@ -293,6 +293,31 @@ def test_qsig_writer_failure_leaves_no_file(rng, tmp_path, z4, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_outputs_get_the_mode_a_plain_open_gives(rng, tmp_path, z4, umask):
+    # a temp file alone would leave every output at 0o600, whatever the umask
+    src = tmp_path / "f.qsig"
+    write_qsig(str(src), random_signal(z4, rng))
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert main(["transform", str(src), str(tmp_path / "t.qsig")]) == 0
+        assert main(["q2img", str(src), str(tmp_path / "q.ppm")]) == 0
+        assert main(["verify", "--group", "2", "--trials", "1",
+                     "--json", str(tmp_path / "r.json")]) == 0
+        write_qsig(str(tmp_path / "kept.qsig"), random_signal(z4, rng))
+        os.chmod(tmp_path / "kept.qsig", 0o640)
+        assert main(["transform", str(src), str(tmp_path / "kept.qsig")]) == 0
+    finally:
+        os.umask(old)
+    want = os.stat(tmp_path / "plain").st_mode
+    assert want & 0o777 == 0o666 & ~umask
+    for name in ("t.qsig", "q.ppm", "r.json"):
+        assert os.stat(tmp_path / name).st_mode == want, name
+    assert os.stat(tmp_path / "kept.qsig").st_mode & 0o7777 == 0o640
+
+
 def test_no_temp_litter(rng, tmp_path, z4):
     write_qsig(str(tmp_path / "x.qsig"), random_signal(z4, rng))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.qsig"]

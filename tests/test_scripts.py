@@ -71,6 +71,27 @@ def test_output_digest_covers_each_side_of_every_size_switch():
     assert any(32 * n * n > signal._scratch(n).nbytes for n in mapped)
 
 
+def test_readme_is_short_and_cites_existing_changes_entries():
+    # measurements live in CHANGES.md; the README and the size constants name the
+    # entry by its title, which runs from a top-level bullet to its first " ("
+    titles = {line[2:].split(" (")[0]
+              for line in (ROOT / "CHANGES.md").read_text().splitlines() if line.startswith("- ")}
+    readme = (ROOT / "README.md").read_text()
+    assert len(readme.splitlines()) <= 300
+    for module, name in (("qft", "TINY_CORE_MAX"), ("qft", "PARALLEL_DFT_MIN"),
+                         ("signal", "DFT_MATRIX_MAX")):
+        lines = (ROOT / "src" / "qgft" / f"{module}.py").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{name} = "))
+        start = at
+        while lines[start - 1].startswith("#"):
+            start -= 1
+        comment = " ".join(line.lstrip("# ") for line in lines[start:at])
+        cited = re.findall(r'CHANGES\.md, "([^"]+)"', comment)
+        assert cited and set(cited) <= titles, name
+    cited = re.findall(r'Measured in "([^"]+)"(?: and "([^"]+)")?', " ".join(readme.split()))
+    assert cited and {t for pair in cited for t in pair if t} <= titles
+
+
 def test_gate_margin_script():
     res = run_script("gate_margin.py", "--repeats", 3)
     assert res.returncode == 0, res.stderr
