@@ -13,6 +13,11 @@ the minimum of direct/fast, and how many repeats the gate would have failed:
 
 Each repeat draws a fresh signal.  The figures vary with the host's load,
 so compare two trees only within one session, with their runs interleaved.
+The medians also move by about 0.3 with the size of the process environment
+alone (one BLAS thread, N=16: 3.65-3.71 with no padding, 3.44-3.49 with a
+64-byte or larger padding variable), which is more than the gaps between
+trees; so compare trees over several environment sizes, or time the two
+trees' evaluators paired in one process.
 """
 
 import argparse

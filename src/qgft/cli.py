@@ -18,9 +18,8 @@ file-format or path error, an order whose payload no array can hold, or a
 host out of memory.  Output files are written atomically; no partial file
 survives a failure.
 
-Each command's parser holds only its own subparser and is built once per
-process; help, usage and error text are those of the full parser, formatted
-when they are printed.
+One parser serves every command and is built once per process; help, usage
+and error text are formatted when they are printed.
 """
 
 from __future__ import annotations
@@ -318,27 +317,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qgft`` parser: for a subcommand name, with only that subparser;
-    either way a given argv parses to the same namespace, help and errors."""
-    return _parser(command if command in COMMANDS else None)
-
-
-@functools.cache  # one per command plus the full one, shared: callers must not change it
-def _parser(command: str | None) -> argparse.ArgumentParser:
+@functools.cache  # one per process, shared: callers must not change it
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qgft`` parser, with every subcommand in ``COMMANDS`` order."""
     top = argparse.ArgumentParser(
         prog="qgft",
         description="Quaternion Fourier transforms on finite abelian groups.",
     )
-    names = [command] if command else list(COMMANDS)
-    sub = top.add_subparsers(
-        dest="command",
-        required=True,
-        # one subparser, but the top usage still lists every choice
-        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
-    )
-    for name in names:
-        handler, add_arguments, parser_kwargs = COMMANDS[name]
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (handler, add_arguments, parser_kwargs) in COMMANDS.items():
         p = sub.add_parser(name, **parser_kwargs)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -346,8 +333,7 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # an overflow is reported once, by the grid check below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -352,6 +352,8 @@ def convolve(f: QSignal, g: QSignal) -> QSignal:
     f * g = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*j (Pei-Ding-Chang),
     and conj(b) has the DFT conj(B(-u, -v)): O(|G|^2 log |G|).
     """
+    if not isinstance(f, QSignal):
+        raise TypeError("convolve acts on signals (primal side)")
     f._check_same_carrier(g)
     grp, neg = f.group, f.group.neg_perm
     A = _grid_fft(f.values.view(np.complex128), grp)
@@ -381,7 +383,7 @@ def transform_W(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     out = np.empty(f.values.shape)
     _bin_map(f.values, _projection(axes, (2, 3)), _projection(axes, (0, 1)),
              f.group.neg_perm, out)
-    return QSignal._own(f.group, out)
+    return type(f)._own(f.group, out)
 
 
 def transform_beta(g: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:

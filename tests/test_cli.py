@@ -491,33 +491,6 @@ def test_dump(rng, tmp_path, capsys, z3x4):
     assert [float(v) for v in first[3:]] == list(f.values[0, 0])
 
 
-# One valid call per subcommand; the corpus below derives bad ones from it.
-VALID_ARGS = {
-    "transform": ["f.qsig", "F.qsig", "--kind", "lqft", "--axes", *"0 1 0 0 0 0 1 0".split()],
-    "inverse": ["F.qsig", "g.qsig", "--mode", "direct"],
-    "smooth": ["f.qsig", "s.qsig", "--family", "dirichlet", "--level", "3"],
-    "verify": ["--group", "3x4", "--trials", "1", "--json", "r.json"],
-    "img2q": ["in.ppm", "f.qsig"],
-    "q2img": ["f.qsig", "out.ppm"],
-    "spectrum": ["F.qsig", "view.ppm"],
-    "bench": ["--sizes", "8", "16", "--kind", "sqft", "--repeats", "1"],
-    "dump": ["f.qsig"],
-}
-
-
-def argv_corpus(name):
-    valid = [name, *VALID_ARGS[name]]
-    choice = "--family" if name == "smooth" else "--kind"
-    return [
-        valid,
-        [name, "--help"],
-        [*valid, "--bogus"],          # unknown option
-        [*valid, choice, "bad"],      # bad choice
-        [name],                       # missing positional or required option
-        [*valid, "extra"],            # extra positional: the top parser's usage
-    ]
-
-
 def parse_outcome(parser, argv, capsys):
     """(namespace, exit code, stdout, stderr) of one parse."""
     try:
@@ -527,46 +500,27 @@ def parse_outcome(parser, argv, capsys):
     return (ns, code, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_one_command_parser_matches_full_parser(name, capsys):
-    for argv in argv_corpus(name):
-        one = parse_outcome(cli.build_parser(name), argv, capsys)
-        assert one == parse_outcome(cli.build_parser(), argv, capsys), argv
-
-
-def test_one_command_parser_knows_no_other_command(capsys):
-    with pytest.raises(SystemExit):
-        cli.build_parser("smooth").parse_args(["dump", "f.qsig"])
-    choices = capsys.readouterr().err.split("invalid choice: 'dump'")[1]
-    assert "smooth" in choices and "transform" not in choices
-
-
 def test_every_call_builds_its_own_parser(monkeypatch):
-    built, parsers = [], []
+    built = []
     build = cli.build_parser
 
-    def spy(*args):
-        built.append(args)
-        parsers.append(build(*args))
-        return parsers[-1]
+    def spy():
+        built.append(build())
+        return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", spy)
-    for _ in range(2):
-        assert main(["verify", "--group", "1", "--trials", "0"]) == 0
-    assert built == [("verify",), ("verify",)]
-    assert parsers[0] is parsers[1]
+    assert main(["verify", "--group", "1", "--trials", "0"]) == 0
+    assert main(["dump", "missing.qsig"]) == 2
+    assert len(built) == 2 and built[0] is built[1]
 
 
-def test_parser_is_built_once_per_command():
-    assert cli.build_parser("smooth") is cli.build_parser("smooth")
-    assert cli.build_parser("smooth") is not cli.build_parser("dump")
-    full = cli.build_parser()
-    for name in ["nope", "", "--help", "-x", None]:
-        assert cli.build_parser(name) is full
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser() is not cli.build_parser.__wrapped__()
 
 
 def test_parses_share_no_mutable_default():
-    parse = cli.build_parser("bench").parse_args
+    parse = cli.build_parser().parse_args
     with contextlib.suppress(AttributeError):  # a tuple default cannot be changed
         parse(["bench"]).sizes.append(512)
     assert list(parse(["bench"]).sizes) == [16, 32, 64, 128, 256]
@@ -578,10 +532,10 @@ def test_shared_parser_formats_text_when_printed(monkeypatch, capsys):
     outcomes = {}
     for columns in ["40", "200"]:
         monkeypatch.setenv("COLUMNS", columns)
-        outcomes[columns] = [parse_outcome(cli.build_parser(argv[0]), argv, capsys)
+        outcomes[columns] = [parse_outcome(cli.build_parser(), argv, capsys)
                              for argv in corpus]
         for argv, shared in zip(corpus, outcomes[columns]):
-            fresh = cli._parser.__wrapped__(argv[0] if argv[0] in cli.COMMANDS else None)
+            fresh = cli.build_parser.__wrapped__()
             assert shared == parse_outcome(fresh, argv, capsys), (columns, argv)
     assert outcomes["40"] != outcomes["200"]  # the width is read at print time
 
@@ -692,4 +646,4 @@ def test_argv_grammar_never_raises(tmp_path, monkeypatch, rng):
             assert code in (0, 1, 2), argv
 
     check()
-    assert cli._parser.cache_info().currsize <= len(cli.COMMANDS) + 1
+    assert cli.build_parser.cache_info().currsize == 1

@@ -104,7 +104,7 @@ def test_gate_margin_script():
 
 
 def test_module_entry_full_help():
-    # argv comes from sys.argv here; an option first builds the full parser
+    # argv comes from sys.argv here
     res = run_python("-m", "qgft", "--help")
     assert res.returncode == 0, res.stderr
     assert "{transform,inverse,smooth,verify,img2q,q2img,spectrum,bench,dump}" in res.stdout

@@ -460,6 +460,19 @@ def test_transform_w(rng, z4):
     assert np.array_equal(transform_W(transform_W(f)).values, f.values)
 
 
+def test_convolve_refuses_spectra(rng, z4):
+    # the sum runs under counting measure, which a dual grid does not carry
+    F = random_spectrum(z4, rng)
+    with pytest.raises(TypeError, match="signals"):
+        convolve(F, F)
+
+
+def test_transform_w_keeps_the_grid_class(rng, z4):
+    F = random_spectrum(z4, rng)
+    assert type(transform_W(F)) is QSpectrum
+    assert np.array_equal(transform_W(F).values, transform_W(QSignal(z4, F.values)).values)
+
+
 def test_transform_w_output_owns_its_memory(rng, z8):
     f = random_signal(z8, rng)
     for axes in (DEFAULT_AXES, random_axis_pair(rng)):
