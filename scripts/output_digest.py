@@ -21,8 +21,14 @@ pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
 and ``inner_q``.  ``transform_W`` and ``transform_beta`` also run under both
 axis pairs at orders 256, 288 and 315, whose payloads are larger than one
 bin-map block.  Only public names are used, so older trees hash the same way.
+
+With ``--labels`` it first prints one ``label hash`` line per hashed output,
+the verify reports included, so two trees' outputs can be compared label by
+label (``diff`` the two listings) to name exactly what moved; the last line
+is the same digest.
 """
 
+import argparse
 import hashlib
 
 import numpy as np
@@ -64,12 +70,21 @@ VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
 
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--labels", action="store_true",
+                    help="print 'label hash' for each hashed output before the digest")
+    labels = ap.parse_args().labels
     digest = hashlib.sha256()
+
+    def update(label: str, *parts: bytes) -> None:
+        for part in parts:
+            digest.update(part)
+        if labels:
+            print(label, hashlib.sha256(b"".join(parts)).hexdigest())
 
     def add(label: str, data) -> None:
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        digest.update(f"{label}:{arr.shape}".encode())
-        digest.update(arr.tobytes())
+        update(label, f"{label}:{arr.shape}".encode(), arr.tobytes())
 
     rng = np.random.default_rng(20)
     for moduli in GROUPS + CORE_GROUPS + THREADED_GROUPS:
@@ -110,8 +125,9 @@ def main() -> None:
             dft = classical_dft_via_rqft(z, g, axes)
             add(f"classical_dft/{g!r}/{axes_label}", [dft.real, dft.imag])
     for moduli, seed in VERIFY_RUNS:
-        report = run_verification(FiniteAbelianGroup(moduli), trials=2, seed=seed)
-        digest.update(report.to_json().encode())
+        g = FiniteAbelianGroup(moduli)
+        report = run_verification(g, trials=2, seed=seed)
+        update(f"verify/{g!r}/seed={seed}", report.to_json().encode())
     print(digest.hexdigest())
 
 

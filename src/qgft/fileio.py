@@ -12,12 +12,13 @@ QSIG layout (all little-endian):
     ...           payload: |G|^2 * 4 float64, components (w, x, y, z) per
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
-Readers check the header (against the input's size, where known up front)
-before anything of payload size is allocated or read, and refuse NaN and
-Inf.  A grid's payload is read-only once checked, so writers check nothing
-again; they go through a temp file plus rename, so a failed command never
-leaves a partial output behind.  A file's payload is read straight into
-the grid's array and written straight from it: one copy each way.
+Readers take a header in one read and check it (against the input's size,
+where known up front) before anything of payload size is allocated or read,
+and refuse NaN and Inf.  A grid's payload is read-only once checked, so
+writers check nothing again; they create a temp file as ``open`` would and
+rename it, so a failed command never leaves a partial output behind.  A
+file's payload is read straight into the grid's array and written straight
+from it: one copy each way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import os
 import stat
 import struct
-import tempfile
 
 import numpy as np
 
@@ -64,18 +64,18 @@ class PpmFormatError(Exception):
 
 def atomic_write_bytes(path: str, *chunks) -> None:
     """Write the bytes-like ``chunks``, in order, to ``path`` via a same-directory
-    temp file and rename, with the mode a plain ``open(path, "wb")`` would leave."""
+    temp file, created as ``open(path, "wb")`` creates one (the kernel applies
+    the umask), and rename; an existing output passes its mode on."""
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)  # process-wide: no thread of this package creates files
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        mode = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
-            os.fchmod(fd, mode)
+            if mode is not None:
+                os.fchmod(fd, mode)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -169,31 +169,23 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
 
 
 def read_qsig(path: str) -> QSignal | QSpectrum:
-    """Read a QSIG file; a regular file's payload is read straight into the
-    grid's array, after its header has been checked against the file size."""
+    """Read a QSIG file: its header first, then a regular file's payload straight
+    into the grid's array, or a stream to one byte past its declared end."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            return decode_qsig(_read_stream(fh))
-        size = st.st_size
-        cls, group, off = _parse_head(fh.read(_MAX_HEAD), size)
+        regular = stat.S_ISREG(st.st_mode)
+        head = fh.read(_MAX_HEAD)
+        cls, group, off = _parse_head(head, st.st_size if regular else None)
         n = group.order
+        if not regular:
+            end = off + n * n * 32 + 1
+            return decode_qsig(_read_to(fh, bytearray(head[:end]), end))
         values = np.empty((n, n, 4), dtype="<f8")
         fh.seek(off)
         got = fh.readinto(memoryview(values).cast("B"))
-        _check_length(off + got, size, group)  # the file shrank while read
+        _check_length(off + got, st.st_size, group)  # the file shrank while read
         # a no-op on little-endian hosts; elsewhere one conversion to native
         return _grid(cls._own, group, np.asarray(values, dtype=np.float64))
-
-
-def _read_stream(fh) -> bytearray:
-    """A stream's bytes: its header is checked as soon as it has arrived, the
-    rest is read to one byte past its declared end."""
-    data = bytearray(fh.read(_HEADER.size))
-    if len(data) == _HEADER.size:
-        data += fh.read(4 * data[5])  # the moduli block; byte 5 is the rank
-    _, group, off = _parse_head(data, None)
-    return _read_to(fh, data, off + group.order ** 2 * 4 * 8 + 1)
 
 
 def _read_to(fh, data: bytearray, end: int) -> bytearray:

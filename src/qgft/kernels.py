@@ -33,7 +33,7 @@ import numpy as np
 from .group import FiniteAbelianGroup
 from .quat import DEFAULT_AXES, AxisPair, qabs2
 from .signal import QSignal, _grid_fft, convolve, lp_norm, reflect_conj
-from .qft import rqft_direct
+from .qft import rqft_fast
 
 __all__ = [
     "KernelFamily",
@@ -102,18 +102,18 @@ def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) 
 
 def _smoothed(
     spec: np.ndarray, group: FiniteAbelianGroup, envelopes: Sequence[np.ndarray]
-) -> Iterator[tuple[np.ndarray, QSignal]]:
-    """(phi(u) * phi(v), ifftn(spec * phi(u) * phi(v))) for each envelope phi.
+) -> Iterator[QSignal]:
+    """The smoothed signal ifftn(spec * phi(u) * phi(v)) for each envelope phi.
 
-    ``spec`` is the ``_grid_fft`` of a payload's complex view; the smoothed
-    signal is the second item.  The last envelope multiplies ``spec`` in
-    place, so one envelope costs one array, the result.
+    ``spec`` is the ``_grid_fft`` of a payload's complex view.  The last
+    envelope multiplies ``spec`` in place, so one envelope costs one array,
+    the result.
     """
     for k, env in enumerate(envelopes, 1):
         weight = np.outer(env, env)
         out = np.multiply(spec, weight[..., None], out=spec if k == len(envelopes) else None)
         _grid_fft(out, group, inverse=True, out=out)
-        yield weight, QSignal._own(group, out.view(np.float64))
+        yield QSignal._own(group, out.view(np.float64))
 
 
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
@@ -125,7 +125,7 @@ def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """
     env = family.envelope(level, f.group)
     spec = _grid_fft(f.values.view(np.complex128), f.group)
-    return next(_smoothed(spec, f.group, [env]))[1]
+    return next(_smoothed(spec, f.group, [env]))
 
 
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
@@ -137,7 +137,7 @@ def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list
         raise ValueError("lmax must be >= 0")
     envs = [family.envelope(l, f.group) for l in range(lmax + 1)]
     spec = _grid_fft(f.values.view(np.complex128), f.group)
-    return [lp_norm(sm - f, p) for _, sm in _smoothed(spec, f.group, envs)]
+    return [lp_norm(sm - f, p) for sm in _smoothed(spec, f.group, envs)]
 
 
 def energy_identity_pairs(
@@ -148,18 +148,20 @@ def energy_identity_pairs(
     """``energy_identity(f, family, level, axes)`` for each (family, level).
 
     The autocorrelation of f, its forward FFT and the RQFT energy
-    ``|rqft(f)|^2`` do not depend on the kernel, so they are computed once;
-    each pair costs one envelope multiply and one inverse FFT.
+    ``|rqft(f)|^2`` do not depend on the kernel, so they are computed once.
+    The smoothed autocorrelation's scalar part at the origin is its inverse
+    FFT at 0, ``sum_{u,v} phi(u) phi(v) Re S_0(u, v) * dual_weight`` with S_0
+    the spectrum of the (w, x) plane, so each pair costs two weighted sums and
+    no FFT.
     """
     grp = f.group
     auto = convolve(reflect_conj(f), f)
-    spec = _grid_fft(auto.values.view(np.complex128), grp)
-    energy = qabs2(rqft_direct(f, axes).values)
+    spec = _grid_fft(auto.values.view(np.complex128), grp)[..., 0].real
+    energy = qabs2(rqft_fast(f, axes).values)
     envs = [family.envelope(level, grp) for family, level in pairs]
-    return [
-        (float(sm.values[0, 0, 0]), float((weight * energy).sum() * grp.dual_weight))
-        for weight, sm in _smoothed(spec, grp, envs)
-    ]
+    # sum_{u,v} phi(u) * phi(v) * X(u, v) is phi @ X @ phi
+    return [(float(env @ spec @ env * grp.dual_weight), float(env @ energy @ env * grp.dual_weight))
+            for env in envs]
 
 
 def energy_identity(

@@ -1,4 +1,5 @@
 import contextlib
+import time
 
 import numpy as np
 import pytest
@@ -400,6 +401,29 @@ def test_negative_seed_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert "qgft: error: --seed must be >= 0" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--group", 4, "--trials", -1), "--trials must be >= 0"),
+    (("bench", "--sizes", 8, 0), "sizes must be positive"),
+], ids=["verify-trials", "bench-sizes"])
+def test_negative_count_is_a_usage_error(argv, message, capsys):
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"qgft: error: {message}\n")
+
+
+def test_bench_gate_fails_when_fast_is_slower(monkeypatch, capsys):
+    fast = qft.FORWARD_FAST[TransformKind.RIGHT]
+
+    def slow(f):
+        time.sleep(0.02)
+        return fast(f)
+
+    monkeypatch.setitem(qft.FORWARD_FAST, TransformKind.RIGHT, slow)
+    assert run("bench", "--sizes", 8, "--repeats", 1) == 1
+    out, err = capsys.readouterr()
+    assert err == "note: fast path slower than direct at N=8\n"
+    assert len(out.splitlines()) == 2
 
 
 def test_bench_gate_starts_at_its_size_floor(capsys):

@@ -78,6 +78,8 @@ def _malformed(good):
         (good[:4] + b"\x02" + good[5:], "version"),
         (good[:6] + b"\x05" + good[7:], "side"),
         (good[:7] + b"\x01" + good[8:], "reserved"),
+        (good[:5] + b"\x00" + good[6:], "rank must be >= 1"),
+        (good[:8] + bytes(4) + good[12:], r"bad moduli \(0,\)"),
         (good[:-8], "length"),
         (good + b"\x00" * 8, "length"),
         (good[:6], "truncated"),
@@ -318,6 +320,23 @@ def test_outputs_get_the_mode_a_plain_open_gives(rng, tmp_path, z4, umask):
     assert os.stat(tmp_path / "kept.qsig").st_mode & 0o7777 == 0o640
 
 
+def test_new_output_mode_comes_from_the_kernel(rng, tmp_path, z4, monkeypatch):
+    # the temp file is created with 0o666 and the kernel applies the umask:
+    # the writer neither reads nor sets the process-wide umask
+    set_umask = os.umask
+    old = set_umask(0o027)
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    try:
+        write_qsig(str(tmp_path / "new.qsig"), random_signal(z4, rng))
+    finally:
+        set_umask(old)
+    assert os.stat(tmp_path / "new.qsig").st_mode & 0o7777 == 0o666 & ~0o027
+
+
 def test_no_temp_litter(rng, tmp_path, z4):
     write_qsig(str(tmp_path / "x.qsig"), random_signal(z4, rng))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.qsig"]
@@ -363,6 +382,11 @@ def test_ppm_rejects_malformed():
         decode_ppm(b"P6\n2 2\n255\n" + b"\x00" * 11)
     with pytest.raises(PpmFormatError, match="header"):
         decode_ppm(b"P6\n2 2")
+    for dims, shown in ((b"0 2", "0x2"), (b"2 -1", "2x-1")):
+        with pytest.raises(PpmFormatError, match=f"bad dimensions {shown}"):
+            decode_ppm(b"P6\n" + dims + b"\n255\n")
+    with pytest.raises(PpmFormatError, match=r"expected \(h, w, 3\) pixels, got \(2, 2\)"):
+        encode_ppm(np.zeros((2, 2)))
 
 
 # --- hostile bytes: the decoders raise only their own format errors ---------

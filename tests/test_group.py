@@ -62,6 +62,10 @@ def test_cross_group_raises(z4, z8):
         z4.element(1) + z8.element(1)
     with pytest.raises(ValueError):
         z8.index_of(z4.element(1))
+    with pytest.raises(ValueError, match="shift element belongs to a different group"):
+        z4.shift_perm(z8.element(1))
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        FiniteAbelianGroup((3, 5)).element((1,))
 
 
 def test_coordinates_are_exact_integers(z4):

@@ -572,6 +572,8 @@ def test_pairing_quaternion_valued_and_order_arbitration(rng, z8):
     assert (lhs2 - rhs2).norm() > 1e-6 * scale
     with pytest.raises(ValueError, match="kernel_order"):
         multiplication_pairing(f, g, kernel_order="sideways")
+    with pytest.raises(ValueError, match="signal and spectrum must share a group"):
+        multiplication_pairing(f, random_spectrum(FiniteAbelianGroup((4,)), rng))
 
 
 # --- classical embedding ---------------------------------------------------------

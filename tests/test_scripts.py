@@ -51,11 +51,17 @@ def test_smoothing_sweep_rejects_bad_arguments():
 
 
 def test_output_digest_script():
-    runs = [run_script("output_digest.py") for _ in range(2)]
+    # a second run, with --labels: one unique "label hash" line per hashed
+    # output, then the digest of the plain run
+    runs = [run_script("output_digest.py", *args) for args in ((), ("--labels",))]
     for res in runs:
         assert res.returncode == 0, res.stderr
-        assert re.fullmatch(r"[0-9a-f]{64}\n", res.stdout)
-    assert runs[0].stdout == runs[1].stdout
+    assert re.fullmatch(r"[0-9a-f]{64}\n", runs[0].stdout)
+    *listed, last = runs[1].stdout.splitlines()
+    assert last + "\n" == runs[0].stdout
+    labels = [re.fullmatch(r"(\S+) [0-9a-f]{64}", line).group(1) for line in listed]
+    assert len(set(labels)) == len(labels) > 500
+    assert sum(label.startswith("verify/") for label in labels) == 3
 
 
 def test_output_digest_covers_each_side_of_every_size_switch():

@@ -76,6 +76,12 @@ def test_suite_keeps_its_checks(z3x4):
     assert report.all_passed
 
 
+def test_trivial_group_passes_every_check():
+    report = run_verification(FiniteAbelianGroup((1,)), trials=1)
+    assert [(c.name, c.axes, c.tolerance) for c in report.checks] == CHECKS
+    assert report.all_passed and not any(c.skipped for c in report.checks)
+
+
 def _scaled(fn):
     return lambda *args: fn(*args) * (1 + 1e-6)
 
@@ -126,8 +132,8 @@ SUBSTITUTIONS = [
       for prefix, name, table in (("", "FORWARD_FAST", qft.FORWARD_FAST),
                                   ("i", "INVERSE_FAST", qft.INVERSE_FAST))
       for kind in TransformKind],
-    pytest.param(kernels, "rqft_direct", {("energy-identity", "default")},
-                 id="kernels.rqft_direct"),
+    pytest.param(kernels, "rqft_fast", {("energy-identity", "default")},
+                 id="kernels.rqft_fast"),
     pytest.param(kernels, "convolve", {("energy-identity", "default")},
                  id="kernels.convolve"),
     pytest.param(qft, "rqft_direct", {("multiplication-formula", "default")},
@@ -151,8 +157,8 @@ def test_scaled_evaluator_fails_exactly_the_checks_that_see_it(monkeypatch, z3x4
 
 
 def test_energy_identity_check_shares_signal_work(monkeypatch, z3x4):
-    # one autocorrelation and one direct spectrum per signal, for all pairs
-    calls = {"convolve": 0, "rqft_direct": 0}
+    # one autocorrelation and one fast spectrum per signal, for all pairs
+    calls = {"convolve": 0, "rqft_fast": 0}
 
     def counting(name):
         fn = getattr(kernels, name)
@@ -167,7 +173,7 @@ def test_energy_identity_check_shares_signal_work(monkeypatch, z3x4):
         monkeypatch.setattr(kernels, name, counting(name))
     report = run_verification(z3x4, trials=2)
     assert report.all_passed
-    assert calls == {"convolve": 2, "rqft_direct": 2}
+    assert calls == {"convolve": 2, "rqft_fast": 2}
 
 
 def test_json_matches_asdict_rendering():
