@@ -103,9 +103,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    f = _load(args.input, QSignal)
     if args.level < 0:
         raise CliError("--level must be >= 0")
+    f = _load(args.input, QSignal)
     out = smooth(f, builtin_family(args.family), args.level)
     delta = lp_norm(out - f, 2)  # before the write, so an overflow leaves no file
     write_qsig(args.output, out)

@@ -21,18 +21,27 @@ Built-in families (selected by name, shared with the CLI):
 
 where circdist is the circular distance min(u, n - u), summed across
 coordinates for product groups and computed for the whole dual at once.
+
+The profile P_1 is one inverse DFT over G, and the spatial kernel its outer
+product.  Smoothing is the convolution f * P = S X S^T, with X the payload
+and S[x, y] = P_1(x - y) the kernel's real circulant.  Up to order
+``qft.TINY_CORE_MAX`` that is two real products with a cached S; above it,
+a spectral multiply between two whole-grid FFTs.  Both caches are keyed on
+the moduli, not on a group, so no group's tables are kept alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import qft
 from .group import FiniteAbelianGroup
 from .quat import DEFAULT_AXES, AxisPair, qabs2
-from .signal import QSignal, _grid_fft, convolve, lp_norm, reflect_conj
+from .signal import QSignal, _frozen, _grid_fft, _pocketfft, convolve, lp_norm, reflect_conj
 from .qft import rqft_fast
 
 __all__ = [
@@ -49,9 +58,17 @@ __all__ = [
 
 
 def circular_distance(group: FiniteAbelianGroup) -> np.ndarray:
-    """Sum over coordinates of min(u, n - u), per frequency in canonical order."""
-    c = group.coords_matrix
-    return np.minimum(c, np.asarray(group.moduli) - c).sum(axis=1)
+    """Sum over coordinates of min(u, n - u), per frequency in canonical order.
+
+    Read-only, and cached for the last 8 groups' moduli: every CLI command
+    builds a fresh group from its file's header."""
+    return _circular_distance(group.moduli)
+
+
+@lru_cache(maxsize=8)  # an entry is 8 bytes per element
+def _circular_distance(moduli: tuple[int, ...]) -> np.ndarray:
+    c = FiniteAbelianGroup(moduli).coords_matrix
+    return _frozen(np.minimum(c, np.asarray(moduli) - c).sum(axis=1))
 
 
 @dataclass
@@ -92,11 +109,25 @@ def builtin_family(name: str) -> KernelFamily:
     raise ValueError(f"unknown kernel family {name!r}; choose from {BUILTIN_FAMILIES}")
 
 
+def _profile(env: np.ndarray, group: FiniteAbelianGroup) -> np.ndarray:
+    """P_1(x) = (1/|G|) sum_u phi(u) chi(u, x): one inverse DFT over G, real
+    because phi is even."""
+    return _pocketfft(env, group, True, 0).real
+
+
+@lru_cache(maxsize=8)  # up to TINY_CORE_MAX an entry is at most 8 KiB
+def _circulant(moduli: tuple[int, ...], env: bytes) -> np.ndarray:
+    """S[x, y] = P_1(x - y) for the envelope whose float64 bytes are ``env``."""
+    group = FiniteAbelianGroup(moduli)
+    return _frozen(_profile(np.frombuffer(env), group)[group.difference_table])
+
+
 def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) -> QSignal:
-    """Spatial kernel of ``family`` at ``level``: a real scalar signal of unit mass."""
-    env = family.envelope(level, group)
+    """Spatial kernel of ``family`` at ``level``: a real scalar signal of unit
+    mass, the outer product P_1 (x) P_1."""
+    p1 = _profile(family.envelope(level, group), group)
     vals = np.zeros((group.order, group.order, 4))
-    vals[..., 0] = _grid_fft(np.outer(env, env), group, inverse=True).real
+    np.outer(p1, p1, out=vals[..., 0])
     return QSignal._own(group, vals)
 
 
@@ -116,28 +147,49 @@ def _smoothed(
         yield QSignal._own(group, out.view(np.float64))
 
 
+def _smoothings(f: QSignal, envelopes: Sequence[np.ndarray]) -> Iterator[QSignal]:
+    """f * P for each envelope's kernel P, in order.
+
+    Up to ``qft.TINY_CORE_MAX`` (read at call time) each is S X S^T, two real
+    products with the cached circulant S, into the one array returned; above
+    it, ``_smoothed`` of f's spectrum, taken once.
+    """
+    grp = f.group
+    n = grp.order
+    if n > qft.TINY_CORE_MAX:
+        yield from _smoothed(_grid_fft(f.values.view(np.complex128), grp), grp, envelopes)
+        return
+    x = f.values.reshape(n, 4 * n)
+    for env in envelopes:
+        s = _circulant(grp.moduli, np.asarray(env, dtype=np.float64).tobytes())
+        out = np.empty((n, n, 4))
+        # S acts on the first variable as a left product, on the second batched per row
+        np.matmul(s, (s @ x).reshape(n, n, 4), out=out)
+        yield QSignal._own(grp, out)
+
+
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """Convolve f with the family's level-``level`` spatial kernel (f first).
 
-    The kernel is real, scalar and separable, so this is the spectral multiply
-    ``ifftn(fftn(z) * phi(u) * phi(v))`` of the payload's symplectic pair z,
-    its complex view: O(|G|^2 log |G|).
+    The kernel is real, scalar and separable.  Up to ``qft.TINY_CORE_MAX``
+    this is S X S^T with S[x, y] = P_1(x - y), two real products: O(|G|^3).
+    Above it, it is the spectral multiply ``ifftn(fftn(z) * phi(u) * phi(v))``
+    of the payload's symplectic pair z, its complex view: O(|G|^2 log |G|).
     """
-    env = family.envelope(level, f.group)
-    spec = _grid_fft(f.values.view(np.complex128), f.group)
-    return next(_smoothed(spec, f.group, [env]))
+    return next(_smoothings(f, [family.envelope(level, f.group)]))
 
 
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
     """The sequence ||smooth(f, l) - f||_p for l = 0 .. lmax.
 
-    Every level multiplies the same spectrum, so f's forward FFT runs once.
+    Each level is ``smooth``'s result.  Up to ``qft.TINY_CORE_MAX`` every
+    level is two products with its own cached circulant; above it every level
+    multiplies the same spectrum, so f's forward FFT runs once.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
     envs = [family.envelope(l, f.group) for l in range(lmax + 1)]
-    spec = _grid_fft(f.values.view(np.complex128), f.group)
-    return [lp_norm(sm - f, p) for sm in _smoothed(spec, f.group, envs)]
+    return [lp_norm(sm - f, p) for sm in _smoothings(f, envs)]
 
 
 def energy_identity_pairs(

@@ -240,7 +240,10 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # Up to this group order the fast core is ``_tiny_core``'s two products: their 40 n^3
 # multiply-adds cost less than pocketfft's many small calls (measured in CHANGES.md, "Tiny
 # grids at matrix speed: the defining-sum oracle without numpy's argument overhead, and the
-# whole fast core as two cached products").
+# whole fast core as two cached products").  ``kernels.smooth`` takes the same switch, with
+# two products by the kernel's circulant (measured in CHANGES.md, "Smoothing at matrix speed
+# up to TINY_CORE_MAX: the kernel's real circulant, cached per group and envelope, applied
+# as two real products").
 TINY_CORE_MAX = 32
 
 # From this group order on, the fast core's passes run on two threads, by row halves, then

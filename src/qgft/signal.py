@@ -236,8 +236,9 @@ def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool = Fal
     """The DFT over G x G of an ``(n, n, ...)`` array, trailing axes batched:
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
-    This is the whole-grid DFT of ``convolve``, ``smooth`` and the kernels,
-    on ``(n, n)`` planes and ``(n, n, 2)`` symplectic pairs alike; ``out``
+    This is the whole-grid DFT of ``convolve``, of ``smooth`` above
+    ``qft.TINY_CORE_MAX`` and of the energy identity, on ``(n, n)`` planes
+    and ``(n, n, 2)`` symplectic pairs alike; ``out``
     (which may be ``values`` itself) receives the result in place.  Up to
     order ``DFT_MATRIX_MAX`` it is one product with ``group.dft_matrices``
     per grid axis; above it, ``_pocketfft`` of the second variable, then of

@@ -21,7 +21,7 @@ from qgft import (
 from qgft import cli, qft, verify
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import encode_qsig, read_ppm, read_qsig, write_ppm, write_qsig
-from qgft.kernels import BUILTIN_FAMILIES
+from qgft.kernels import BUILTIN_FAMILIES, builtin_family, spatial_kernel
 
 
 def run(*argv):
@@ -406,7 +406,9 @@ def test_negative_seed_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--group", 4, "--trials", -1), "--trials must be >= 0"),
     (("bench", "--sizes", 8, 0), "sizes must be positive"),
-], ids=["verify-trials", "bench-sizes"])
+    # the level is checked before the input is read, so a missing input does not hide it
+    (("smooth", "missing.qsig", "out.qsig", "--level", -1), "--level must be >= 0"),
+], ids=["verify-trials", "bench-sizes", "smooth-level"])
 def test_negative_count_is_a_usage_error(argv, message, capsys):
     assert run(*argv) == 2
     assert capsys.readouterr() == ("", f"qgft: error: {message}\n")
@@ -470,7 +472,7 @@ THREADED_MODULI = (16, 18)
     (("transform",), "primal", (8,)),
     # above qft.TINY_CORE_MAX, where the inverse DFTs sum before they scale
     (("inverse", "--kind", "sqft"), "dual", (33,)),
-    (("smooth", "--level", "2"), "primal", (8,)),
+    (("smooth", "--family", "dirichlet", "--level", "1"), "primal", (8,)),
     (("transform",), "primal", THREADED_MODULI),
     (("inverse", "--kind", "sqft"), "dual", THREADED_MODULI),
 ], ids=["transform", "inverse", "smooth", "transform-threaded", "inverse-threaded"])
@@ -480,13 +482,31 @@ def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
     group = FiniteAbelianGroup(moduli)
     assert moduli != THREADED_MODULI or group.order >= qft.PARALLEL_DFT_MIN
     grid = QSpectrum if side == "dual" else QSignal
+    values = np.full((group.order, group.order, 4), 1e308)
+    if argv[0] == "smooth":  # a constant smooths to itself: align f with the kernel's signs
+        kern = spatial_kernel(builtin_family("dirichlet"), 1, group).values[..., 0]
+        neg = group.neg_perm  # (f * P)(0) = sum_y f(y) P(-y) = 1e308 * ||P||_1, ||P||_1 = 2.12
+        values[...] = 0.0
+        values[..., 0] = 1e308 * np.sign(kern[np.ix_(neg, neg)])
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
-    write_qsig(str(src), grid(group, np.full((group.order, group.order, 4), 1e308)))
+    write_qsig(str(src), grid(group, values))
     assert run(argv[0], src, out, *argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.count("qgft: error:") == 1 and "overflow" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists() and not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("moduli", [(8,), (4, 8)])
+def test_tiny_smooth_of_a_huge_constant_is_the_constant(tmp_path, moduli):
+    # up to TINY_CORE_MAX smoothing is two products with the kernel's circulant,
+    # whose rows sum to 1: no unscaled sum, so the constant comes back
+    group = FiniteAbelianGroup(moduli)
+    assert group.order <= qft.TINY_CORE_MAX
+    src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
+    write_qsig(str(src), QSignal(group, np.full((group.order, group.order, 4), 1e308)))
+    assert run("smooth", src, out, "--family", "fejer", "--level", 2) == 0
+    assert np.abs(read_qsig(str(out)).values - 1e308).max() <= 1e-15 * 1e308
 
 
 def test_tiny_inverse_weights_before_it_sums(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qgft import kernels, qft
 from qgft import (
     BUILTIN_FAMILIES,
     FiniteAbelianGroup,
@@ -24,6 +25,8 @@ from qgft import (
 from test_signal import _convolve_direct
 
 FULL_LEVEL_Z8 = 4  # max circular distance on Z_8
+# a custom family: any profile of the circular distance is even in u, so P is real
+LORENTZ = KernelFamily("lorentz", lambda l, d: 1.0 / (1.0 + d * d / (l + 1.0)))
 
 
 def test_family_selection():
@@ -140,21 +143,63 @@ def test_spatial_kernel_rejects_bad_level(rng, z8):
 
 
 def test_custom_family_smooths_with_a_real_kernel(rng, z8, z3x4):
-    # any profile of the circular distance is even in u, so P is real
-    lorentz = KernelFamily("lorentz", lambda l, d: 1.0 / (1.0 + d * d / (l + 1.0)))
     for g in (z8, z3x4):
         f = random_signal(g, rng)
         for level in range(3):
-            kern = spatial_kernel(lorentz, level, g)
+            kern = spatial_kernel(LORENTZ, level, g)
             want = _convolve_direct(f, kern)
-            err = np.abs(smooth(f, lorentz, level).values - want).max()
+            err = np.abs(smooth(f, LORENTZ, level).values - want).max()
             assert err <= 1e-12 * np.abs(f.values).max()
             # the defining sum P_1(x) = (1/|G|) sum_u phi(u) exp(i theta(u, x))
-            p1 = lorentz.envelope(level, g) @ np.exp(1j * g.angle_table) / g.order
+            p1 = LORENTZ.envelope(level, g) @ np.exp(1j * g.angle_table) / g.order
             assert np.abs(p1.imag).max() <= 1e-15
             assert np.allclose(kern.values[..., 0], np.outer(p1.real, p1.real),
                                rtol=0, atol=1e-15)
             assert not kern.values[..., 1:].any()
+
+
+@pytest.mark.parametrize("mods", [(1,), (8,), (3, 4), (2, 2, 3), (4, 8), (32,)])
+def test_product_and_fft_smoothing_agree(rng, monkeypatch, mods):
+    # up to TINY_CORE_MAX smoothing is S X S^T; a limit of 0 takes the FFT path
+    g = FiniteAbelianGroup(mods)
+    assert g.order <= qft.TINY_CORE_MAX
+    f = random_signal(g, rng)
+    fams = [builtin_family(name) for name in BUILTIN_FAMILIES] + [LORENTZ]
+
+    def outputs():
+        return ([smooth(f, fam, l) for fam in fams for l in range(6)],
+                [convergence_report(f, fam, 5) for fam in fams])
+
+    smoothed, reports = outputs()
+    monkeypatch.setattr(qft, "TINY_CORE_MAX", 0)
+    smoothed_fft, reports_fft = outputs()
+    for sm, sm_fft in zip(smoothed, smoothed_fft):
+        assert lp_norm(sm - sm_fft, 2) <= 1e-14 * lp_norm(sm_fft, 2)
+    assert np.abs(np.subtract(reports, reports_fft)).max() <= 1e-14 * lp_norm(f, 2)
+
+
+def test_spatial_kernel_above_the_switch_is_the_outer_profile():
+    g = FiniteAbelianGroup((33,))
+    assert g.order > qft.TINY_CORE_MAX
+    for fam in [builtin_family(name) for name in BUILTIN_FAMILIES] + [LORENTZ]:
+        env = fam.envelope(3, g)
+        p1 = env @ np.exp(1j * g.angle_table) / g.order  # the defining sum
+        kern = spatial_kernel(fam, 3, g).values
+        assert np.allclose(kern[..., 0], np.outer(p1.real, p1.real), rtol=0, atol=1e-15)
+        assert not kern[..., 1:].any()
+
+
+def test_cached_circulant_and_distances_are_read_only(z3x4):
+    env = builtin_family("fejer").envelope(2, z3x4)
+    first = kernels._circulant(z3x4.moduli, env.tobytes())
+    dist = circular_distance(z3x4)
+    assert not first.flags.writeable and not dist.flags.writeable
+    # a fresh group of the same moduli, as each CLI command builds, reads the same values
+    fresh = FiniteAbelianGroup((3, 4))
+    assert np.array_equal(kernels._circulant(fresh.moduli, env.tobytes()), first)
+    assert np.array_equal(circular_distance(fresh), dist)
+    # S[x, y] = P_1(x - y), with S's first column the profile
+    assert np.array_equal(first, first[:, 0][z3x4.difference_table])
 
 
 @pytest.mark.parametrize("name", BUILTIN_FAMILIES)

@@ -72,6 +72,8 @@ def test_output_digest_covers_each_side_of_every_size_switch():
     orders = [math.prod(m) for m in script["GROUPS"] + script["CORE_GROUPS"]]
     assert any(qft.TINY_CORE_MAX < n < qft.PARALLEL_DFT_MIN for n in orders)
     assert any(n <= signal.DFT_MATRIX_MAX for n in orders)
+    smoothed = [math.prod(m) for m in script["GROUPS"] + script["FFT_SMOOTH_GROUPS"]]
+    assert min(smoothed) <= qft.TINY_CORE_MAX < max(smoothed)
     # transform_W's and transform_beta's payload of 32 n^2 bytes over more than one map block
     mapped = [math.prod(m) for m in script["GROUPS"] + script["BLOCKED_MAP_GROUPS"]]
     assert any(32 * n * n > signal._scratch(n).nbytes for n in mapped)
