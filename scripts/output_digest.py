@@ -8,14 +8,15 @@ checked by running this script on both trees and comparing the digests:
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/output_digest.py
 
 It hashes the twelve transform evaluators under the default and a random
-axis pair on nine groups (the fast core as two products, the whole-grid
-DFT as matrix products and as pocketfft calls), ``convolve``, the
+axis pair on nine groups (all at or below ``signal.TINY_CORE_MAX``, so the
+fast core and the whole-grid DFTs are matrix products), ``convolve``, the
 smoothing functions for every built-in family, the energy identity and
-the ``verify`` JSON report for three groups.  The smoothing functions
-also run at order 33, above ``qft.TINY_CORE_MAX``, where they are FFTs
-rather than products.  The evaluators and ``convolve`` also run where the
-fast core is pocketfft: on one thread at order 256, and on two threads at
-orders 288 and 315 (the latter in uneven halves).  On the nine groups it also hashes every other public operation:
+the ``verify`` JSON report for three groups.  The smoothing functions and
+the energy identity also run at order 33, above the switch, where their
+DFTs are pocketfft calls rather than products.  The evaluators and
+``convolve`` also run where the fast core is pocketfft: on one thread at
+order 256, and on two threads at orders 288 and 315 (the latter in uneven
+halves).  On the nine groups it also hashes every other public operation:
 ``transform_W``, ``transform_beta``, both kernel orders of
 ``multiplication_pairing`` and ``classical_dft_via_rqft`` under both axis
 pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
@@ -67,7 +68,7 @@ CORE_GROUPS = [(8, 32)]
 THREADED_GROUPS = [(16, 18), (5, 7, 9)]
 # transform_W and transform_beta on these too: their payloads span several map blocks
 BLOCKED_MAP_GROUPS = CORE_GROUPS + THREADED_GROUPS
-# smoothing only: above qft.TINY_CORE_MAX it runs on pocketfft, not as products
+# smoothing and the energy identity: above signal.TINY_CORE_MAX their DFTs are pocketfft calls
 FFT_SMOOTH_GROUPS = [(33,)]
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 
@@ -89,11 +90,13 @@ def main() -> None:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         update(label, f"{label}:{arr.shape}".encode(), arr.tobytes())
 
-    def add_smoothing(g, f) -> None:
+    def add_kernels(g, f) -> None:  # smoothing, then the energy identity
         for family in map(builtin_family, BUILTIN_FAMILIES):
             add(f"smooth/{family.name}/{g!r}", smooth(f, family, 2).values)
             add(f"spatial_kernel/{family.name}/{g!r}", spatial_kernel(family, 1, g).values)
             add(f"convergence/{family.name}/{g!r}", convergence_report(f, family, 3))
+        pairs = [(builtin_family(name), level) for name in BUILTIN_FAMILIES for level in (0, 2)]
+        add(f"energy/{g!r}", energy_identity_pairs(f, pairs))
 
     rng = np.random.default_rng(20)
     for moduli in GROUPS + CORE_GROUPS + THREADED_GROUPS:
@@ -109,13 +112,11 @@ def main() -> None:
         add(f"convolve/{g!r}", convolve(f, random_signal(g, rng)).values)
         if moduli not in GROUPS:
             continue
-        add_smoothing(g, f)
-        pairs = [(builtin_family(name), level) for name in BUILTIN_FAMILIES for level in (0, 2)]
-        add(f"energy/{g!r}", energy_identity_pairs(f, pairs))
+        add_kernels(g, f)
     rng = np.random.default_rng(22)
     for moduli in FFT_SMOOTH_GROUPS:
         g = FiniteAbelianGroup(moduli)
-        add_smoothing(g, random_signal(g, rng))
+        add_kernels(g, random_signal(g, rng))
     rng = np.random.default_rng(21)
     for moduli in GROUPS:
         g = FiniteAbelianGroup(moduli)

@@ -25,9 +25,9 @@ coordinates for product groups and computed for the whole dual at once.
 The profile P_1 is one inverse DFT over G, and the spatial kernel its outer
 product.  Smoothing is the convolution f * P = S X S^T, with X the payload
 and S[x, y] = P_1(x - y) the kernel's real circulant.  Up to order
-``qft.TINY_CORE_MAX`` that is two real products with a cached S; above it,
-a spectral multiply between two whole-grid FFTs.  Both caches are keyed on
-the moduli, not on a group, so no group's tables are kept alive.
+``signal.TINY_CORE_MAX`` both are matrix products, S cached; above it, the
+DFT is pocketfft and smoothing a spectral multiply between two whole-grid
+FFTs.  Both caches are keyed on the moduli, so no group's tables are kept.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import qft
+from . import signal
 from .group import FiniteAbelianGroup
 from .quat import DEFAULT_AXES, AxisPair, qabs2
 from .signal import QSignal, _frozen, _grid_fft, _pocketfft, convolve, lp_norm, reflect_conj
@@ -111,7 +111,9 @@ def builtin_family(name: str) -> KernelFamily:
 
 def _profile(env: np.ndarray, group: FiniteAbelianGroup) -> np.ndarray:
     """P_1(x) = (1/|G|) sum_u phi(u) chi(u, x): one inverse DFT over G, real
-    because phi is even."""
+    because phi is even: a product with the inverse DFT matrix up to the switch."""
+    if group.order <= signal.TINY_CORE_MAX:
+        return (group.dft_matrices[True] @ env).real
     return _pocketfft(env, group, True, 0).real
 
 
@@ -150,13 +152,13 @@ def _smoothed(
 def _smoothings(f: QSignal, envelopes: Sequence[np.ndarray]) -> Iterator[QSignal]:
     """f * P for each envelope's kernel P, in order.
 
-    Up to ``qft.TINY_CORE_MAX`` (read at call time) each is S X S^T, two real
+    Up to ``signal.TINY_CORE_MAX`` (read at call time) each is S X S^T, two real
     products with the cached circulant S, into the one array returned; above
     it, ``_smoothed`` of f's spectrum, taken once.
     """
     grp = f.group
     n = grp.order
-    if n > qft.TINY_CORE_MAX:
+    if n > signal.TINY_CORE_MAX:
         yield from _smoothed(_grid_fft(f.values.view(np.complex128), grp), grp, envelopes)
         return
     x = f.values.reshape(n, 4 * n)
@@ -171,7 +173,7 @@ def _smoothings(f: QSignal, envelopes: Sequence[np.ndarray]) -> Iterator[QSignal
 def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
     """Convolve f with the family's level-``level`` spatial kernel (f first).
 
-    The kernel is real, scalar and separable.  Up to ``qft.TINY_CORE_MAX``
+    The kernel is real, scalar and separable.  Up to ``signal.TINY_CORE_MAX``
     this is S X S^T with S[x, y] = P_1(x - y), two real products: O(|G|^3).
     Above it, it is the spectral multiply ``ifftn(fftn(z) * phi(u) * phi(v))``
     of the payload's symplectic pair z, its complex view: O(|G|^2 log |G|).
@@ -182,7 +184,7 @@ def smooth(f: QSignal, family: KernelFamily, level: int) -> QSignal:
 def convergence_report(f: QSignal, family: KernelFamily, lmax: int, p=2) -> list[float]:
     """The sequence ||smooth(f, l) - f||_p for l = 0 .. lmax.
 
-    Each level is ``smooth``'s result.  Up to ``qft.TINY_CORE_MAX`` every
+    Each level is ``smooth``'s result.  Up to ``signal.TINY_CORE_MAX`` every
     level is two products with its own cached circulant; above it every level
     multiplies the same spectrum, so f's forward FFT runs once.
     """

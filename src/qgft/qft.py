@@ -35,8 +35,9 @@ z1 +/- mu1*z2 and one add/sub pass, with a first-axis frequency negation
 ("flip") of the z2 part, O(|G|^2 log |G|) in total.  The DFTs are pocketfft
 FFTs.  From order ``PARALLEL_DFT_MIN`` on the core runs on two threads, by
 row halves, then column halves; no other module starts a thread.  Up to
-order ``TINY_CORE_MAX`` the whole core, maps and flips included, is two
-cheaper real products with cached matrices.  Each kind is three choices
+order ``signal.TINY_CORE_MAX``, every module's one switch to DFT matrices,
+the whole core, maps and flips included, is two real products with cached
+matrices.  Each kind is three choices
 (``sqft_fast`` alone still runs the equivalent chain rqft_fast(W f) instead
 of its row):
 
@@ -69,6 +70,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import signal
 from .group import FiniteAbelianGroup, _characters
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
 from .signal import (
@@ -185,7 +187,7 @@ def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarra
     memo or without it.
     """
     grp = x.group
-    memo = _STAGE_MEMO.get() if grp.order <= TINY_CORE_MAX else None
+    memo = _STAGE_MEMO.get() if grp.order <= signal.TINY_CORE_MAX else None
     trig = None
     v = x.values
     for axis, left in stages:
@@ -236,15 +238,6 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 
 # ---------------------------------------------------------------------------
 # fast paths
-
-# Up to this group order the fast core is ``_tiny_core``'s two products: their 40 n^3
-# multiply-adds cost less than pocketfft's many small calls (measured in CHANGES.md, "Tiny
-# grids at matrix speed: the defining-sum oracle without numpy's argument overhead, and the
-# whole fast core as two cached products").  ``kernels.smooth`` takes the same switch, with
-# two products by the kernel's circulant (measured in CHANGES.md, "Smoothing at matrix speed
-# up to TINY_CORE_MAX: the kernel's real circulant, cached per group and envelope, applied
-# as two real products").
-TINY_CORE_MAX = 32
 
 # From this group order on, the fast core's passes run on two threads, by row halves, then
 # by column halves: below it, starting threads costs more than the overlap saves (measured
@@ -349,7 +342,7 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     assert flip in ("before", "after", None), flip
     grp, n = x.group, x.group.order
     out = np.empty(x.values.shape)
-    if n <= TINY_CORE_MAX:
+    if n <= signal.TINY_CORE_MAX:
         right, dft = _tiny_core(grp, axes, inverse, left, flip)
         terms = (x.values.reshape(n, 4 * n) @ right).reshape(2 * n, 4 * n)
         np.matmul(dft, terms, out=out.reshape(n, 4 * n))

@@ -225,10 +225,14 @@ def reflect_conj(f: QSignal) -> QSignal:
     return type(f)._own(f.group, qconj(f.values[np.ix_(neg, neg)]))
 
 
-# Up to this group order the DFT over G x G is two products with the group's DFT matrices:
-# below it numpy's fixed cost per FFT call outweighs the arithmetic (measured in
-# CHANGES.md, "Tiny grids: DFT-matrix products replace pocketfft below a measured order").
-DFT_MATRIX_MAX = 16
+# Up to this group order every DFT over G is a product with the group's DFT matrices, where
+# pocketfft's fixed cost per call outweighs the arithmetic: the whole-grid DFTs and the kernel
+# profile (measured in CHANGES.md, "Tiny grids: DFT-matrix products replace pocketfft below a
+# measured order"), smoothing (CHANGES.md, "Smoothing at matrix speed up to TINY_CORE_MAX: the
+# kernel's real circulant, cached per group and envelope, applied as two real products"), and
+# qft's fast core and stage memo (CHANGES.md, "Tiny grids at matrix speed: the defining-sum
+# oracle without numpy's argument overhead, and the whole fast core as two cached products").
+TINY_CORE_MAX = 32
 
 
 def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool = False,
@@ -237,15 +241,15 @@ def _grid_fft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool = Fal
     the forward DFT, or the inverse one (normalised by 1/|G|^2) if ``inverse``.
 
     This is the whole-grid DFT of ``convolve``, of ``smooth`` above
-    ``qft.TINY_CORE_MAX`` and of the energy identity, on ``(n, n)`` planes
-    and ``(n, n, 2)`` symplectic pairs alike; ``out``
-    (which may be ``values`` itself) receives the result in place.  Up to
-    order ``DFT_MATRIX_MAX`` it is one product with ``group.dft_matrices``
-    per grid axis; above it, ``_pocketfft`` of the second variable, then of
-    the first.
+    ``TINY_CORE_MAX`` and of the energy identity, on ``(n, n)`` planes and
+    ``(n, n, 2)`` symplectic pairs alike; ``out`` (which may be ``values``
+    itself) receives the result in place.  Up to order ``TINY_CORE_MAX`` it
+    is one product with ``group.dft_matrices`` per grid axis, each of whose
+    inverse sums is scaled by 1/|G| term by term; above it, ``_pocketfft``
+    of the second variable, then of the first, which scales after summing.
     """
     n = group.order
-    if n <= DFT_MATRIX_MAX:
+    if n <= TINY_CORE_MAX:
         m = group.dft_matrices[inverse]
         x = values.reshape(n, n, -1)
         dest = np.empty(x.shape, np.complex128) if out is None else out.reshape(x.shape, copy=False)

@@ -18,7 +18,7 @@ from qgft import (
     random_signal,
     random_spectrum,
 )
-from qgft import cli, qft, verify
+from qgft import cli, qft, signal, verify
 from qgft.cli import main, parse_group_spec, CliError
 from qgft.fileio import encode_qsig, read_ppm, read_qsig, write_ppm, write_qsig
 from qgft.kernels import BUILTIN_FAMILIES, builtin_family, spatial_kernel
@@ -470,7 +470,7 @@ THREADED_MODULI = (16, 18)
 
 @pytest.mark.parametrize("argv, side, moduli", [
     (("transform",), "primal", (8,)),
-    # above qft.TINY_CORE_MAX, where the inverse DFTs sum before they scale
+    # above signal.TINY_CORE_MAX, where the inverse DFTs sum before they scale
     (("inverse", "--kind", "sqft"), "dual", (33,)),
     (("smooth", "--family", "dirichlet", "--level", "1"), "primal", (8,)),
     (("transform",), "primal", THREADED_MODULI),
@@ -502,7 +502,7 @@ def test_tiny_smooth_of_a_huge_constant_is_the_constant(tmp_path, moduli):
     # up to TINY_CORE_MAX smoothing is two products with the kernel's circulant,
     # whose rows sum to 1: no unscaled sum, so the constant comes back
     group = FiniteAbelianGroup(moduli)
-    assert group.order <= qft.TINY_CORE_MAX
+    assert group.order <= signal.TINY_CORE_MAX
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
     write_qsig(str(src), QSignal(group, np.full((group.order, group.order, 4), 1e308)))
     assert run("smooth", src, out, "--family", "fejer", "--level", 2) == 0
@@ -513,7 +513,7 @@ def test_tiny_inverse_weights_before_it_sums(tmp_path):
     # up to TINY_CORE_MAX the dual weight rides in the fast core's matrices,
     # so an inverse whose exact result is representable does not overflow
     group = FiniteAbelianGroup((8,))
-    assert group.order <= qft.TINY_CORE_MAX
+    assert group.order <= signal.TINY_CORE_MAX
     src, out = tmp_path / "big.qsig", tmp_path / "out.qsig"
     write_qsig(str(src), QSpectrum(group, np.full((8, 8, 4), 1e308)))
     assert run("inverse", src, out, "--kind", "sqft") == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgft import kernels, qft
+from qgft import kernels, qft, signal
 from qgft import (
     BUILTIN_FAMILIES,
     FiniteAbelianGroup,
@@ -22,6 +22,7 @@ from qgft import (
     smooth,
     spatial_kernel,
 )
+from qgft.verify import run_verification
 from test_signal import _convolve_direct
 
 FULL_LEVEL_Z8 = 4  # max circular distance on Z_8
@@ -162,7 +163,7 @@ def test_custom_family_smooths_with_a_real_kernel(rng, z8, z3x4):
 def test_product_and_fft_smoothing_agree(rng, monkeypatch, mods):
     # up to TINY_CORE_MAX smoothing is S X S^T; a limit of 0 takes the FFT path
     g = FiniteAbelianGroup(mods)
-    assert g.order <= qft.TINY_CORE_MAX
+    assert g.order <= signal.TINY_CORE_MAX
     f = random_signal(g, rng)
     fams = [builtin_family(name) for name in BUILTIN_FAMILIES] + [LORENTZ]
 
@@ -171,16 +172,38 @@ def test_product_and_fft_smoothing_agree(rng, monkeypatch, mods):
                 [convergence_report(f, fam, 5) for fam in fams])
 
     smoothed, reports = outputs()
-    monkeypatch.setattr(qft, "TINY_CORE_MAX", 0)
+    monkeypatch.setattr(signal, "TINY_CORE_MAX", 0)
     smoothed_fft, reports_fft = outputs()
     for sm, sm_fft in zip(smoothed, smoothed_fft):
         assert lp_norm(sm - sm_fft, 2) <= 1e-14 * lp_norm(sm_fft, 2)
     assert np.abs(np.subtract(reports, reports_fft)).max() <= 1e-14 * lp_norm(f, 2)
 
 
+def test_nothing_up_to_the_switch_reaches_pocketfft(monkeypatch, rng, z3x4):
+    # one switch: up to TINY_CORE_MAX every DFT over G is a product with DFT matrices
+    def refuse(*args, **kwargs):
+        raise AssertionError("pocketfft called up to TINY_CORE_MAX")
+
+    for module in (signal, kernels, qft):  # every module's name for it
+        monkeypatch.setattr(module, "_pocketfft", refuse)
+    kernels._circulant.cache_clear()  # a cached circulant would skip its profile
+    assert run_verification(z3x4, trials=1).all_passed
+    fams = [builtin_family(name) for name in BUILTIN_FAMILIES]
+    for mods in [(17,), (4, 8), (32,)]:
+        g = FiniteAbelianGroup(mods)
+        assert g.order <= signal.TINY_CORE_MAX
+        f = random_signal(g, rng)
+        convolve(f, random_signal(g, rng))
+        energy_identity_pairs(f, [(fam, 1) for fam in fams])
+        for fam in fams:
+            smooth(f, fam, 1)
+            spatial_kernel(fam, 1, g)
+            convergence_report(f, fam, 2)
+
+
 def test_spatial_kernel_above_the_switch_is_the_outer_profile():
     g = FiniteAbelianGroup((33,))
-    assert g.order > qft.TINY_CORE_MAX
+    assert g.order > signal.TINY_CORE_MAX
     for fam in [builtin_family(name) for name in BUILTIN_FAMILIES] + [LORENTZ]:
         env = fam.envelope(3, g)
         p1 = env @ np.exp(1j * g.angle_table) / g.order  # the defining sum

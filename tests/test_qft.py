@@ -447,30 +447,14 @@ def test_tiny_core_matches_the_pocketfft_core(monkeypatch, rng, mods):
     # up to TINY_CORE_MAX the whole core is two matrix products; a limit of 0
     # runs the maps, FFTs and row swap at every order
     g = FiniteAbelianGroup(mods)
-    assert g.order <= qft.TINY_CORE_MAX
+    assert g.order <= signal.TINY_CORE_MAX
     for axes in (DEFAULT_AXES, random_axis_pair(rng)):
         for op in FRAME_OPS[:6]:
             x = _op_input(op, g, rng)
             tiny = op(x, axes).values
             with monkeypatch.context() as m:
-                m.setattr(qft, "TINY_CORE_MAX", 0)
+                m.setattr(signal, "TINY_CORE_MAX", 0)
                 assert _rel_gap(tiny, op(x, axes).values) <= 1e-13, op.__name__
-
-
-@pytest.mark.parametrize("mods", [(3, 4), (8,)])
-def test_fast_core_ignores_the_dft_matrix_limit(monkeypatch, rng, mods):
-    # the DFT matrices serve only whole-grid DFTs: with the two products off,
-    # the core's own DFTs are pocketfft calls whatever DFT_MATRIX_MAX says
-    g = FiniteAbelianGroup(mods)
-    assert g.order <= signal.DFT_MATRIX_MAX
-    monkeypatch.setattr(qft, "TINY_CORE_MAX", 0)
-    for axes in (DEFAULT_AXES, random_axis_pair(rng)):
-        for op in FRAME_OPS[:6]:
-            x = _op_input(op, g, rng)
-            matrices = op(x, axes).values
-            with monkeypatch.context() as m:
-                m.setattr(signal, "DFT_MATRIX_MAX", 0)
-                assert np.array_equal(matrices, op(x, axes).values), op.__name__
 
 
 def test_tiny_core_cache_is_bounded(rng):

@@ -189,16 +189,17 @@ def test_grid_fft_in_place_and_mirrored(rng, moduli, inverse):
     assert np.array_equal(planes[..., 1], _mirrored_fft(x, bare, inverse))
 
 
-@pytest.mark.parametrize("moduli", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3)])
+@pytest.mark.parametrize("moduli", [(1,), (2,), (8,), (16,), (3, 4), (2, 2, 3),
+                                    (17,), (2, 16), (4, 8), (32,)])
 @DIRECTIONS
 def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
     g = FiniteAbelianGroup(moduli)
-    assert g.order <= signal.DFT_MATRIX_MAX
+    assert g.order <= signal.TINY_CORE_MAX
     n = g.order
     x = rng.standard_normal((n, n, 2)) + 1j * rng.standard_normal((n, n, 2))
     results = []
-    for limit in (signal.DFT_MATRIX_MAX, 0):  # 0: pocketfft at every order
-        monkeypatch.setattr(signal, "DFT_MATRIX_MAX", limit)
+    for limit in (signal.TINY_CORE_MAX, 0):  # 0: pocketfft at every order
+        monkeypatch.setattr(signal, "TINY_CORE_MAX", limit)
         planes = x.copy()
         assert _grid_fft(planes[..., 1], g, inverse, out=planes[..., 1]).base is planes
         results.append((_grid_fft(x, g, inverse), _grid_fft(x[..., 0], g, inverse), planes))
@@ -420,6 +421,18 @@ def test_convolve_two_point_masses(rng, z3x4):
         got = convolve(QSignal.delta(g, a, p), QSignal.delta(g, b, q))
         want = QSignal.delta(g, (a[0] + b[0], a[1] + b[1]), p * q)  # order p*q, not q*p
         assert np.allclose(got.values, want.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("moduli", [(17,), (4, 8), (32,)])
+def test_convolve_of_a_huge_delta_is_the_delta(moduli):
+    # up to TINY_CORE_MAX the inverse DFT matrix scales each term by 1/|G| before
+    # it sums, so a result that is representable comes back (to rounding: the
+    # off-origin sums of unit roots are not exactly 0); pocketfft would overflow
+    g = FiniteAbelianGroup(moduli)
+    assert 16 < g.order <= signal.TINY_CORE_MAX
+    big = QSignal.delta(g, value=Quaternion(1e308, 1e308, 1e308, 1e308))
+    got = convolve(big, QSignal.delta(g)).values
+    assert np.abs(got - big.values).max() <= 1e-15 * 1e308
 
 
 def test_autocorrelation_identity(rng, z4):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from qgft import AxisPair, FiniteAbelianGroup, Quaternion, kernels, qft, random_signal, verify
+from qgft import (AxisPair, FiniteAbelianGroup, Quaternion, kernels, qft, random_signal, signal,
+                  verify)
 from qgft.qft import TransformKind
 from qgft.verify import run_verification
 
@@ -258,6 +259,6 @@ def test_oracle_outside_a_run_stores_nothing(monkeypatch, z3x4):
 def test_run_above_tiny_core_max_stores_nothing(monkeypatch):
     builds = _record_builds(monkeypatch)
     group = FiniteAbelianGroup((33,))
-    assert group.order > qft.TINY_CORE_MAX
+    assert group.order > signal.TINY_CORE_MAX
     assert run_verification(group, trials=1).all_passed
     assert builds and all(m == {} for m in builds)
