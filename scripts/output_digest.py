@@ -22,7 +22,11 @@ halves).  On the nine groups it also hashes every other public operation:
 pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
 and ``inner_q``.  ``transform_W`` and ``transform_beta`` also run under both
 axis pairs at orders 256, 288 and 315, whose payloads are larger than one
-bin-map block.  Only public names are used, so older trees hash the same way.
+bin-map block.  Last, under ``file/`` labels, it hashes the file layer: the
+bytes that ``write_qsig`` and ``write_ppm`` put on disk and what
+``read_qsig`` and ``read_ppm`` give back, for grids on Z_1, Z_3 x Z_4 and
+Z_512 and for a 2x3 and a 32x32 image.  Only public names are used, so
+older trees hash the same way.
 
 With ``--labels`` it first prints one ``label hash`` line per hashed output,
 the verify reports included, so two trees' outputs can be compared label by
@@ -32,12 +36,15 @@ is the same digest.
 
 import argparse
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 
 import qgft
 from qgft import (
     BUILTIN_FAMILIES,
+    QSpectrum,
     FiniteAbelianGroup,
     builtin_family,
     classical_dft_via_rqft,
@@ -58,6 +65,7 @@ from qgft import (
     transform_beta,
     translate,
 )
+from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
 
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
               for side in "rsl" for inv in ("", "i")]
@@ -71,6 +79,9 @@ BLOCKED_MAP_GROUPS = CORE_GROUPS + THREADED_GROUPS
 # smoothing and the energy identity: above signal.TINY_CORE_MAX their DFTs are pocketfft calls
 FFT_SMOOTH_GROUPS = [(33,)]
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
+# the file layer: a header-sized file, a small one and an 8 MB one; images (height, width)
+FILE_GROUPS = [(1,), (3, 4), (512,)]
+FILE_IMAGES = [(2, 3), (32, 32)]
 
 
 def main() -> None:
@@ -139,6 +150,25 @@ def main() -> None:
         g = FiniteAbelianGroup(moduli)
         report = run_verification(g, trials=2, seed=seed)
         update(f"verify/{g!r}/seed={seed}", report.to_json().encode())
+    rng = np.random.default_rng(23)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        for moduli in FILE_GROUPS:
+            g = FiniteAbelianGroup(moduli)
+            for grid in (random_signal(g, rng), random_spectrum(g, rng)):
+                side = "dual" if isinstance(grid, QSpectrum) else "primal"
+                write_qsig(path, grid)
+                with open(path, "rb") as fh:
+                    update(f"file/write_qsig/{g!r}/{side}", fh.read())
+                back = read_qsig(path)
+                add(f"file/read_qsig/{g!r}/{side}/{type(back).__name__}", back.values)
+        for height, width in FILE_IMAGES:
+            pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+            write_ppm(path, pixels)
+            with open(path, "rb") as fh:
+                update(f"file/write_ppm/{width}x{height}", fh.read())
+            w, h, back = read_ppm(path)
+            update(f"file/read_ppm/{width}x{height}", b"%dx%d:" % (w, h), back.tobytes())
     print(digest.hexdigest())
 
 

@@ -12,17 +12,21 @@ QSIG layout (all little-endian):
     ...           payload: |G|^2 * 4 float64, components (w, x, y, z) per
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
-Readers take a header in one read and check it (against the input's size,
-where known up front) before anything of payload size is allocated or read,
-and refuse NaN and Inf.  A grid's payload is read-only once checked, so
-writers check nothing again; they create a temp file as ``open`` would and
-rename it, so a failed command never leaves a partial output behind.  A
-file's payload is read straight into the grid's array and written straight
-from it: one copy each way.
+Readers work on the raw descriptor.  They take a header in one read (a
+stream's until it is whole) and check it (against the input's size, where
+known up front) before anything of payload size is allocated or read, and
+refuse NaN and Inf.  A grid's payload is read-only once checked, so writers
+check nothing again; they create a temp file as ``open`` would and rename
+it, so a failed command never leaves a partial output behind.  A file's
+payload is read straight into the array with one ``preadv`` and written
+straight from it with one ``writev`` after its header, each resumed after a
+short transfer: one copy each way.  Measured in CHANGES.md, "Read and write
+files at the cost of their system calls".
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 import stat
@@ -49,9 +53,6 @@ SIDE_PRIMAL = 0
 SIDE_DUAL = 1
 _HEADER = struct.Struct("<4sBBBB")
 _MAX_HEAD = _HEADER.size + 4 * 255  # the longest header and moduli block
-# A file up to this size leaves in one write call, header and payload
-# together; a larger chunk is written straight from its own memory.
-_WRITE_BUFFER = 1 << 16
 
 
 class QsigFormatError(Exception):
@@ -63,9 +64,10 @@ class PpmFormatError(Exception):
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:
-    """Write the bytes-like ``chunks``, in order, to ``path`` via a same-directory
-    temp file, created as ``open(path, "wb")`` creates one (the kernel applies
-    the umask), and rename; an existing output passes its mode on."""
+    """Write the bytes-like ``chunks``, in order and with one ``writev``, to
+    ``path`` via a same-directory temp file, created as ``open(path, "wb")``
+    creates one (the kernel applies the umask), and rename; an existing
+    output passes its mode on."""
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -73,11 +75,18 @@ def atomic_write_bytes(path: str, *chunks) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
+        try:
             if mode is not None:
                 os.fchmod(fd, mode)
-            for chunk in chunks:
-                fh.write(chunk)
+            views = [memoryview(chunk).cast("B") for chunk in chunks]
+            while views:  # resumed after a short transfer: Linux moves <= 0x7ffff000 bytes
+                done = os.writev(fd, views)
+                while views and done >= len(views[0]):
+                    done -= len(views.pop(0))
+                if views:
+                    views[0] = views[0][done:]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,26 +180,53 @@ def decode_qsig(data: bytes) -> QSignal | QSpectrum:
 def read_qsig(path: str) -> QSignal | QSpectrum:
     """Read a QSIG file: its header first, then a regular file's payload straight
     into the grid's array, or a stream to one byte past its declared end."""
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(st.st_mode)
-        head = fh.read(_MAX_HEAD)
-        cls, group, off = _parse_head(head, st.st_size if regular else None)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size, head = _read_head(fd, path, _MAX_HEAD)
+        cls, group, off = _parse_head(head, size)
         n = group.order
-        if not regular:
+        if size is None:
             end = off + n * n * 32 + 1
-            return decode_qsig(_read_to(fh, bytearray(head[:end]), end))
+            return decode_qsig(_read_to(fd, bytearray(head[:end]), end))
         values = np.empty((n, n, 4), dtype="<f8")
-        fh.seek(off)
-        got = fh.readinto(memoryview(values).cast("B"))
-        _check_length(off + got, st.st_size, group)  # the file shrank while read
+        got = _read_into(fd, head, off, memoryview(values).cast("B"))
+        _check_length(off + got, size, group)  # the file shrank while read
         # a no-op on little-endian hosts; elsewhere one conversion to native
         return _grid(cls._own, group, np.asarray(values, dtype=np.float64))
+    finally:
+        os.close(fd)
 
 
-def _read_to(fh, data: bytearray, end: int) -> bytearray:
-    """``data`` extended from ``fh`` in chunks of at most 1 MiB, to ``end`` bytes."""
-    while len(data) < end and (chunk := fh.read(min(end - len(data), 1 << 20))):
+def _read_head(fd: int, path: str, limit: int) -> tuple[int | None, bytes]:
+    """A regular file's size (None for a stream) and the first ``limit`` bytes of
+    ``fd``, fewer only at its end: a regular file takes one read, and a stream
+    is read until its header is whole, however its writer splits it."""
+    st = os.fstat(fd)
+    if stat.S_ISDIR(st.st_mode):  # refused as ``open`` refuses it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    size = st.st_size if stat.S_ISREG(st.st_mode) else None
+    want = min(size, limit) if size else limit  # a size of 0 may mean unknown (/proc)
+    head = b""
+    while len(head) < want and (chunk := os.read(fd, limit - len(head))):
+        head += chunk
+    return size, head
+
+
+def _read_into(fd: int, head: bytes, off: int, out: memoryview) -> int:
+    """Fill the byte view ``out`` with a regular file's bytes from offset ``off``:
+    those already in ``head``, the rest with one ``preadv``, resumed after a
+    short transfer.  Returns how many bytes were read, short only at the end."""
+    have = head[off : off + len(out)]
+    got = len(have)
+    out[:got] = have
+    while got < len(out) and (done := os.preadv(fd, [out[got:]], off + got)):
+        got += done
+    return got
+
+
+def _read_to(fd: int, data: bytearray, end: int) -> bytearray:
+    """``data`` extended from the stream ``fd`` in chunks of at most 1 MiB, to ``end`` bytes."""
+    while len(data) < end and (chunk := os.read(fd, min(end - len(data), 1 << 20))):
         data += chunk
     return data
 
@@ -239,9 +275,14 @@ def _ppm_head(data: bytes, size: int | None):
     if width < 1 or height < 1:
         raise PpmFormatError(f"bad dimensions {width}x{height}")
     off = end + 1  # exactly one whitespace byte after maxval
-    if size is not None and (raster := max(size - off, 0)) != width * height * 3:
-        raise PpmFormatError(f"raster length {raster} does not match {width}x{height}")
+    if size is not None:
+        _check_raster(max(size - off, 0), width, height)
     return width, height, off
+
+
+def _check_raster(raster: int, width: int, height: int) -> None:
+    if raster != width * height * 3:
+        raise PpmFormatError(f"raster length {raster} does not match {width}x{height}")
 
 
 def decode_ppm(data: bytes):
@@ -252,24 +293,41 @@ def decode_ppm(data: bytes):
 
 
 def read_ppm(path: str, *, _accept=lambda width, height: None):
-    """Read a P6 file: its header first, then at most the raster and one byte.
+    """Read a P6 file: its header first, then a regular file's raster straight into
+    the image's array, or a stream to one byte past its declared end.
     ``_accept(width, height)`` may raise to refuse the image from its header."""
-    with open(path, "rb") as fh:
-        head = fh.read(_PPM_MAX_HEAD + 1)
-        st = os.fstat(fh.fileno())
-        width, height, off = _ppm_head(head, st.st_size if stat.S_ISREG(st.st_mode) else None)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size, head = _read_head(fd, path, _PPM_MAX_HEAD + 1)
+        width, height, off = _ppm_head(head, size)
         _accept(width, height)
-        end = off + width * height * 3 + 1
-        return decode_ppm(_read_to(fh, bytearray(head[:end]), end))
+        if size is None:
+            end = off + width * height * 3 + 1
+            data = _read_to(fd, bytearray(head[:end]), end)
+            _check_raster(max(len(data) - off, 0), width, height)
+            pixels = np.frombuffer(data, dtype=np.uint8, offset=off)
+        else:
+            pixels = np.empty(width * height * 3, dtype=np.uint8)
+            # the file shrank while read
+            _check_raster(_read_into(fd, head, off, memoryview(pixels)), width, height)
+        return width, height, pixels.reshape(height, width, 3)
+    finally:
+        os.close(fd)
 
 
-def encode_ppm(pixels: np.ndarray) -> bytes:
+def _ppm_parts(pixels: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Header, and the C-ordered uint8 (h, w, 3) raster."""
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise PpmFormatError(f"expected (h, w, 3) pixels, got {pixels.shape}")
     h, w = pixels.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
+    return b"P6\n%d %d\n255\n" % (w, h), pixels
+
+
+def encode_ppm(pixels: np.ndarray) -> bytes:
+    return b"".join(_ppm_parts(pixels))
 
 
 def write_ppm(path: str, pixels: np.ndarray) -> None:
-    atomic_write_bytes(path, encode_ppm(pixels))
+    # the raster goes to the file from the image's own array, not via bytes
+    atomic_write_bytes(path, *_ppm_parts(pixels))

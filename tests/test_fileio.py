@@ -1,8 +1,10 @@
 import errno
 import os
+import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from qgft.fileio import (
     encode_qsig,
     read_ppm,
     read_qsig,
+    write_ppm,
     write_qsig,
 )
 
@@ -262,6 +265,31 @@ def _feed_fifo(tmp_path, head):
     return fifo, total
 
 
+def test_stream_header_split_across_writes_is_read_whole(rng, tmp_path, z3x4):
+    # the writer sends 3 bytes, pauses, then the rest: the reader waits for the header
+    sig = random_signal(z3x4, rng)
+    pixels = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
+    for data, read in ((encode_qsig(sig), read_qsig), (encode_ppm(pixels), read_ppm)):
+        fifo = tmp_path / f"{read.__name__}.fifo"
+        os.mkfifo(fifo)
+
+        def writer():
+            with open(fifo, "wb", buffering=0) as fh:
+                fh.write(data[:3])
+                time.sleep(0.1)
+                fh.write(data[3:])
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        back = read(str(fifo))
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        if read is read_qsig:
+            assert type(back) is QSignal and back.values.tobytes() == sig.values.tobytes()
+        else:
+            assert back[:2] == (4, 4) and np.array_equal(back[2], pixels)
+
+
 @pytest.mark.parametrize("make, moduli", [
     (random_signal, (1,)), (random_signal, (8,)), (random_spectrum, (8,)),
     (random_signal, (3, 4)), (random_spectrum, (512,)),
@@ -274,25 +302,110 @@ def test_qsig_writer_writes_encoded_bytes(rng, tmp_path, make, moduli):
 
 
 def test_qsig_writer_failure_leaves_no_file(rng, tmp_path, z4, monkeypatch):
-    real_fdopen = os.fdopen
+    # the first write call moves part of the file, the second finds the disk full
+    real_writev, calls = os.writev, []
 
-    def fdopen_failing_second_write(*args, **kwargs):
-        fh = real_fdopen(*args, **kwargs)
-        write, calls = fh.write, []
+    def writev_failing_second_call(fd, buffers):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_writev(fd, [memoryview(buffers[0])[:7]])
 
-        def failing_write(chunk):
-            calls.append(len(chunk))
-            if len(calls) == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return write(chunk)
-
-        fh.write = failing_write
-        return fh
-
-    monkeypatch.setattr(os, "fdopen", fdopen_failing_second_write)
+    monkeypatch.setattr(os, "writev", writev_failing_second_call)
     with pytest.raises(OSError, match="No space left"):
         write_qsig(str(tmp_path / "x.qsig"), random_signal(z4, rng))
+    assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def _capped(monkeypatch, cap):
+    """Make every read and write system call the file layer makes move at most
+    ``cap`` bytes, as a short transfer would."""
+    real_read, real_preadv, real_writev = os.read, os.preadv, os.writev
+
+    def first_bytes(buffers):
+        left, parts = cap, []
+        for buf in buffers:
+            parts.append(memoryview(buf).cast("B")[:left])
+            left -= len(parts[-1])
+        return parts
+
+    monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, cap)))
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                        real_preadv(fd, first_bytes(buffers), offset))
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: real_writev(fd, first_bytes(buffers)))
+
+
+@pytest.mark.parametrize("make, moduli", [
+    (random_signal, (1,)), (random_spectrum, (3, 4)), (random_signal, (512,)),
+])
+def test_qsig_short_transfers_are_resumed(rng, tmp_path, monkeypatch, make, moduli):
+    sig = make(FiniteAbelianGroup(moduli), rng)
+    path = tmp_path / "w.qsig"
+    _capped(monkeypatch, 7)
+    write_qsig(str(path), sig)
+    if sig.group.order < 512:  # 8 MB at 7 bytes a call is slow to read back
+        back = read_qsig(str(path))
+        assert type(back) is type(sig)
+        assert back.values.tobytes() == sig.values.tobytes()
+    monkeypatch.undo()
+    assert path.read_bytes() == encode_qsig(sig)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (32, 32, 3)])
+def test_ppm_short_transfers_are_resumed(rng, tmp_path, monkeypatch, shape):
+    pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    path = tmp_path / "w.ppm"
+    _capped(monkeypatch, 7)
+    write_ppm(str(path), pixels)
+    width, height, back = read_ppm(str(path))
+    monkeypatch.undo()
+    assert (height, width) == shape[:2]
+    assert np.array_equal(back, pixels)
+    assert path.read_bytes() == encode_ppm(pixels)
+
+
+def _fake_size(monkeypatch, path, size):
+    """Make ``os.fstat`` report ``size`` bytes for the file at ``path``."""
+    real_fstat, target = os.fstat, os.stat(path)
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        if (st.st_dev, st.st_ino) != (target.st_dev, target.st_ino):
+            return st
+        fields = list(st)
+        fields[stat.ST_SIZE] = size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+def test_file_shrinking_while_read_is_refused(rng, tmp_path, z3x4, monkeypatch, capsys, cap):
+    # the header check passes on the size fstat reports; the bytes read fall one row short
+    data = encode_qsig(random_signal(z3x4, rng))
+    qsig = tmp_path / "short.qsig"
+    qsig.write_bytes(data[:-12 * 4 * 8])
+    image = encode_ppm(rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8))
+    ppm = tmp_path / "short.ppm"
+    ppm.write_bytes(image[:-4 * 3])
+    _fake_size(monkeypatch, qsig, len(data))
+    _fake_size(monkeypatch, ppm, len(image))
+    if cap is not None:
+        _capped(monkeypatch, cap)
+    with pytest.raises(QsigFormatError) as info:
+        read_qsig(str(qsig))
+    assert str(info.value) == (f"payload length mismatch: file has {len(data) - 384} "
+                               f"bytes, expected {len(data)} for group {z3x4!r}")
+    with pytest.raises(PpmFormatError, match="^raster length 36 does not match 4x4$"):
+        read_ppm(str(ppm))
+    capsys.readouterr()
+    assert main(["transform", str(qsig), str(tmp_path / "t.qsig")]) == 2
+    assert main(["img2q", str(ppm), str(tmp_path / "i.qsig")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == [["qgft", "error"]] * 2
+    assert "payload length mismatch" in err[0] and "raster length 36" in err[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.ppm", "short.qsig"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
