@@ -24,9 +24,10 @@ and ``inner_q``.  ``transform_W`` and ``transform_beta`` also run under both
 axis pairs at orders 256, 288 and 315, whose payloads are larger than one
 bin-map block.  Last, under ``file/`` labels, it hashes the file layer: the
 bytes that ``write_qsig`` and ``write_ppm`` put on disk and what
-``read_qsig`` and ``read_ppm`` give back, for grids on Z_1, Z_3 x Z_4 and
-Z_512 and for a 2x3 and a 32x32 image.  Only public names are used, so
-older trees hash the same way.
+``read_qsig`` and ``read_ppm`` give back, from the file and (labels
+``…_stream``) from the same bytes sent through a pipe, for grids on Z_1,
+Z_3 x Z_4 and Z_512 and for a 2x3 and a 32x32 image.  Only public names
+are used, so older trees hash the same way.
 
 With ``--labels`` it first prints one ``label hash`` line per hashed output,
 the verify reports included, so two trees' outputs can be compared label by
@@ -37,7 +38,9 @@ is the same digest.
 import argparse
 import hashlib
 import os
+import shutil
 import tempfile
+import threading
 
 import numpy as np
 
@@ -82,6 +85,23 @@ VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 # the file layer: a header-sized file, a small one and an 8 MB one; images (height, width)
 FILE_GROUPS = [(1,), (3, 4), (512,)]
 FILE_IMAGES = [(2, 3), (32, 32)]
+
+
+def read_piped(read, path: str):
+    """What ``read`` gives back for the file at ``path`` sent through a pipe."""
+    r, w = os.pipe()
+
+    def send() -> None:
+        with open(path, "rb") as src, open(w, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+
+    thread = threading.Thread(target=send)
+    thread.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        thread.join()
 
 
 def main() -> None:
@@ -162,6 +182,8 @@ def main() -> None:
                     update(f"file/write_qsig/{g!r}/{side}", fh.read())
                 back = read_qsig(path)
                 add(f"file/read_qsig/{g!r}/{side}/{type(back).__name__}", back.values)
+                back = read_piped(read_qsig, path)
+                add(f"file/read_qsig_stream/{g!r}/{side}/{type(back).__name__}", back.values)
         for height, width in FILE_IMAGES:
             pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
             write_ppm(path, pixels)
@@ -169,6 +191,8 @@ def main() -> None:
                 update(f"file/write_ppm/{width}x{height}", fh.read())
             w, h, back = read_ppm(path)
             update(f"file/read_ppm/{width}x{height}", b"%dx%d:" % (w, h), back.tobytes())
+            w, h, back = read_piped(read_ppm, path)
+            update(f"file/read_ppm_stream/{width}x{height}", b"%dx%d:" % (w, h), back.tobytes())
     print(digest.hexdigest())
 
 

@@ -13,21 +13,24 @@ QSIG layout (all little-endian):
                   bin, bins ordered by index(x1) * |G| + index(x2)
 
 Readers work on the raw descriptor.  They take a header in one read (a
-stream's until it is whole) and check it (against the input's size, where
-known up front) before anything of payload size is allocated or read, and
-refuse NaN and Inf.  A grid's payload is read-only once checked, so writers
-check nothing again; they create a temp file as ``open`` would and rename
-it, so a failed command never leaves a partial output behind.  A file's
-payload is read straight into the array with one ``preadv`` and written
-straight from it with one ``writev`` after its header, each resumed after a
-short transfer: one copy each way.  Measured in CHANGES.md, "Read and write
-files at the cost of their system calls".
+stream's until it is whole) and check it, against the input's size where
+known up front, before anything of payload size is allocated or read.  One
+helper then reads either format's payload: a file's straight into a fresh
+array with one ``preadv``, a stream's in 1 MiB chunks to one byte past its
+declared end, checked once and kept as read.  NaN and Inf are refused.  No
+read path calls ``decode_qsig`` or ``decode_ppm``, the in-memory codecs.
+Writers check nothing again (a grid is read-only once checked): they write a
+temp file, created as ``open`` would, with one ``writev`` straight from the
+array and rename it, so a failed command leaves no partial output.  Short
+transfers are resumed.  Measured in CHANGES.md, "Read and write files at the
+cost of their system calls" and "One payload reader for both file formats".
 """
 
 from __future__ import annotations
 
 import errno
 import itertools
+import math
 import os
 import stat
 import struct
@@ -109,8 +112,7 @@ def encode_qsig(sig: QSignal | QSpectrum) -> bytes:
 
 def write_qsig(path: str, sig: QSignal | QSpectrum) -> None:
     # the payload goes to the file from the grid's own array, not via bytes
-    head, payload = _qsig_parts(sig)
-    atomic_write_bytes(path, head, memoryview(payload).cast("B"))
+    atomic_write_bytes(path, *_qsig_parts(sig))
 
 
 def _parse_head(head: bytes, size: int | None):
@@ -143,23 +145,24 @@ def _parse_head(head: bytes, size: int | None):
         raise QsigFormatError(f"bad moduli {moduli}")
     group = FiniteAbelianGroup(moduli)
     if size is not None:
-        # bound the order by the bytes present before it is formatted or used:
-        # 255 moduli of 2**32 - 1 give an order with thousands of digits
-        n = group.order
-        if n > size:
-            raise QsigFormatError(
-                f"payload too short: a group of order above {size} needs more "
-                f"than the {size - need} payload bytes present"
-            )
-        _check_length(size, need + n * n * 4 * 8, group)
+        _check_length(size, need, group)
     return (QSpectrum if side == SIDE_DUAL else QSignal), group, need
 
 
-def _check_length(size: int, expected: int, group: FiniteAbelianGroup) -> None:
-    if size != expected:
+def _check_length(size: int, off: int, group: FiniteAbelianGroup) -> None:
+    """Check that ``size`` bytes are an ``off``-byte header and ``group``'s payload."""
+    # bound the order by the bytes present before it is formatted or used:
+    # 255 moduli of 2**32 - 1 give an order with thousands of digits
+    n = group.order
+    if n > size:
+        raise QsigFormatError(
+            f"payload too short: a group of order above {size} needs more "
+            f"than the {size - off} payload bytes present"
+        )
+    if size != off + n * n * 4 * 8:
         raise QsigFormatError(
             f"payload length mismatch: file has {size} bytes, "
-            f"expected {expected} for group {group!r}"
+            f"expected {off + n * n * 4 * 8} for group {group!r}"
         )
 
 
@@ -171,26 +174,23 @@ def _grid(make, group: FiniteAbelianGroup, values: np.ndarray):
 
 
 def decode_qsig(data: bytes) -> QSignal | QSpectrum:
+    """QSIG bytes in memory to a grid, which copies them; no read path calls it."""
     cls, group, off = _parse_head(data, len(data))
     n = group.order
     payload = np.frombuffer(data, dtype="<f8", offset=off).reshape(n, n, 4)
-    return _grid(cls, group, payload)  # the grid constructor copies
+    return _grid(cls, group, payload)
 
 
 def read_qsig(path: str) -> QSignal | QSpectrum:
-    """Read a QSIG file: its header first, then a regular file's payload straight
-    into the grid's array, or a stream to one byte past its declared end."""
+    """Read a QSIG file: its header first, then its payload through
+    ``_read_payload``, checked once and adopted by the grid as read."""
     fd = os.open(path, os.O_RDONLY)
     try:
         size, head = _read_head(fd, path, _MAX_HEAD)
         cls, group, off = _parse_head(head, size)
         n = group.order
-        if size is None:
-            end = off + n * n * 32 + 1
-            return decode_qsig(_read_to(fd, bytearray(head[:end]), end))
-        values = np.empty((n, n, 4), dtype="<f8")
-        got = _read_into(fd, head, off, memoryview(values).cast("B"))
-        _check_length(off + got, size, group)  # the file shrank while read
+        values = _read_payload(fd, size, head, off, (n, n, 4), "<f8",
+                               lambda got: _check_length(off + got, off, group))
         # a no-op on little-endian hosts; elsewhere one conversion to native
         return _grid(cls._own, group, np.asarray(values, dtype=np.float64))
     finally:
@@ -206,26 +206,33 @@ def _read_head(fd: int, path: str, limit: int) -> tuple[int | None, bytes]:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     size = st.st_size if stat.S_ISREG(st.st_mode) else None
     want = min(size, limit) if size else limit  # a size of 0 may mean unknown (/proc)
-    head = b""
-    while len(head) < want and (chunk := os.read(fd, limit - len(head))):
-        head += chunk
-    return size, head
+    return size, _read_to(fd, b"", want)
 
 
-def _read_into(fd: int, head: bytes, off: int, out: memoryview) -> int:
-    """Fill the byte view ``out`` with a regular file's bytes from offset ``off``:
-    those already in ``head``, the rest with one ``preadv``, resumed after a
-    short transfer.  Returns how many bytes were read, short only at the end."""
-    have = head[off : off + len(out)]
+def _read_payload(fd: int, size: int | None, head: bytes, off: int, shape, dtype, check):
+    """The array of ``shape`` and ``dtype`` at byte ``off`` of ``fd``, whose start
+    ``head`` holds, once ``check`` has passed the count of bytes read.  A
+    regular file's bytes go straight into a fresh array with one ``preadv``,
+    short only at its end; a stream is read to one byte past the declared
+    end, so a size it only declares is never allocated, and the array views it."""
+    if size is None:
+        end = math.prod(shape) * np.dtype(dtype).itemsize + 1
+        data = _read_to(fd, bytearray(head[off : off + end]), end)
+        check(len(data))
+        return np.frombuffer(data, dtype).reshape(shape)
+    out = np.empty(shape, dtype)
+    view = memoryview(out).cast("B")
+    have = head[off : off + len(view)]
     got = len(have)
-    out[:got] = have
-    while got < len(out) and (done := os.preadv(fd, [out[got:]], off + got)):
+    view[:got] = have
+    while got < len(view) and (done := os.preadv(fd, [view[got:]], off + got)):
         got += done
-    return got
+    check(got)  # the file shrank while read
+    return out
 
 
-def _read_to(fd: int, data: bytearray, end: int) -> bytearray:
-    """``data`` extended from the stream ``fd`` in chunks of at most 1 MiB, to ``end`` bytes."""
+def _read_to(fd: int, data: bytes | bytearray, end: int) -> bytes | bytearray:
+    """``data`` extended from ``fd`` in chunks of at most 1 MiB, to ``end`` bytes or EOF."""
     while len(data) < end and (chunk := os.read(fd, min(end - len(data), 1 << 20))):
         data += chunk
     return data
@@ -293,24 +300,16 @@ def decode_ppm(data: bytes):
 
 
 def read_ppm(path: str, *, _accept=lambda width, height: None):
-    """Read a P6 file: its header first, then a regular file's raster straight into
-    the image's array, or a stream to one byte past its declared end.
+    """Read a P6 file: its header first, then its raster through ``_read_payload``.
     ``_accept(width, height)`` may raise to refuse the image from its header."""
     fd = os.open(path, os.O_RDONLY)
     try:
         size, head = _read_head(fd, path, _PPM_MAX_HEAD + 1)
         width, height, off = _ppm_head(head, size)
         _accept(width, height)
-        if size is None:
-            end = off + width * height * 3 + 1
-            data = _read_to(fd, bytearray(head[:end]), end)
-            _check_raster(max(len(data) - off, 0), width, height)
-            pixels = np.frombuffer(data, dtype=np.uint8, offset=off)
-        else:
-            pixels = np.empty(width * height * 3, dtype=np.uint8)
-            # the file shrank while read
-            _check_raster(_read_into(fd, head, off, memoryview(pixels)), width, height)
-        return width, height, pixels.reshape(height, width, 3)
+        pixels = _read_payload(fd, size, head, off, (height, width, 3), np.uint8,
+                               lambda got: _check_raster(got, width, height))
+        return width, height, pixels
     finally:
         os.close(fd)
 

@@ -122,6 +122,37 @@ def test_qsig_file_reader_rejects_malformed(rng, z4, tmp_path):
         assert _file_error(tmp_path / "bad.qsig", data) == str(decoded.value)
 
 
+def _read_pipe(data, read=read_qsig):
+    """``read`` of ``data`` sent through a pipe, whose buffer must hold it whole."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def _pipe_error(data, read=read_qsig, error=QsigFormatError):
+    with pytest.raises(error) as info:
+        _read_pipe(data, read)
+    return str(info.value)
+
+
+def test_qsig_stream_reader_gives_the_decoders_messages(rng, z4):
+    # a stream's header and length are refused with the in-memory decoder's words
+    good = encode_qsig(random_signal(z4, rng))
+    assert len(good) == 524
+    for data, pattern in _malformed(good) + [(_HOSTILE_HEADER, "payload too short")]:
+        with pytest.raises(QsigFormatError, match=pattern) as decoded:
+            decode_qsig(data)
+        want = str(decoded.value)
+        if data == good + bytes(8):  # a stream is read only one byte past its end
+            want = want.replace("has 532 bytes", "has 525 bytes")
+            assert "has 525 bytes" in want
+        assert _pipe_error(data) == want
+
+
 def test_qsig_file_reader_checks_header_before_allocating(tmp_path):
     # a Z_4096 header (a 512 MB payload) over 8 KB of file
     data = b"QSG1" + bytes([1, 1, 0, 0]) + (4096).to_bytes(4, "little")
@@ -142,13 +173,15 @@ def test_qsig_reader_returns_owned_aligned_arrays(rng, tmp_path, moduli):
     sig = random_signal(FiniteAbelianGroup(moduli), rng)
     path = tmp_path / "a.qsig"
     write_qsig(str(path), sig)
-    back = read_qsig(str(path))
-    values = back.values
-    assert values.dtype == np.float64
-    flags = values.flags
-    assert flags.c_contiguous and flags.aligned and not flags.writeable
-    assert flags.owndata  # so not a view of the bytes it was read from
-    assert values.tobytes() == sig.values.tobytes()
+    regular, stream = read_qsig(str(path)), _read_pipe(path.read_bytes())
+    # so not a view of the bytes it was read from; a stream's may view its read buffer
+    assert regular.values.flags.owndata
+    for back in (regular, stream):
+        values = back.values
+        assert type(back) is QSignal and values.dtype == np.float64
+        flags = values.flags
+        assert flags.c_contiguous and flags.aligned and not flags.writeable
+        assert values.tobytes() == sig.values.tobytes()
 
 
 def _run_qgft(*args, **kwargs):
@@ -197,14 +230,8 @@ def test_qsig_reader_rejects_non_finite(z4, tmp_path, bad):
     path.write_bytes(data)
     with pytest.raises(QsigFormatError, match="finite"):
         read_qsig(str(path))
-    r, w = os.pipe()
-    try:
-        os.write(w, data)  # far below a pipe's buffer
-        os.close(w)
-        with pytest.raises(QsigFormatError, match="finite"):
-            read_qsig(f"/dev/fd/{r}")
-    finally:
-        os.close(r)
+    with pytest.raises(QsigFormatError, match="finite"):
+        _read_pipe(data)
     out = tmp_path / "out.qsig"
     res = _run_qgft("transform", path, out)
     assert res.returncode == 2
@@ -486,20 +513,30 @@ def test_ppm_header_must_end_within_limit(tmp_path):
         assert _file_error(path, data, read_ppm, PpmFormatError) == str(decoded.value)
 
 
+_PPM_MALFORMED = [  # (bytes, message pattern)
+    (b"P5\n2 2\n255\n" + b"\x00" * 12, "magic"),
+    (b"P6\n2 2\n65535\n" + b"\x00" * 24, "maxval"),
+    (b"P6\n2 2\n255\n" + b"\x00" * 11, "raster length 11 "),
+    (b"P6\n2 2\n255\n" + b"\x00" * 13, "raster length 13 "),
+    (b"P6\n2 2", "header"),
+    (b"P6\n0 2\n255\n", "bad dimensions 0x2"),
+    (b"P6\n2 -1\n255\n", "bad dimensions 2x-1"),
+]
+
+
 def test_ppm_rejects_malformed():
-    with pytest.raises(PpmFormatError, match="magic"):
-        decode_ppm(b"P5\n2 2\n255\n" + b"\x00" * 12)
-    with pytest.raises(PpmFormatError, match="maxval"):
-        decode_ppm(b"P6\n2 2\n65535\n" + b"\x00" * 24)
-    with pytest.raises(PpmFormatError, match="raster length"):
-        decode_ppm(b"P6\n2 2\n255\n" + b"\x00" * 11)
-    with pytest.raises(PpmFormatError, match="header"):
-        decode_ppm(b"P6\n2 2")
-    for dims, shown in ((b"0 2", "0x2"), (b"2 -1", "2x-1")):
-        with pytest.raises(PpmFormatError, match=f"bad dimensions {shown}"):
-            decode_ppm(b"P6\n" + dims + b"\n255\n")
+    for data, pattern in _PPM_MALFORMED:
+        with pytest.raises(PpmFormatError, match=pattern):
+            decode_ppm(data)
     with pytest.raises(PpmFormatError, match=r"expected \(h, w, 3\) pixels, got \(2, 2\)"):
         encode_ppm(np.zeros((2, 2)))
+
+
+def test_ppm_stream_reader_gives_the_decoders_messages():
+    for data, pattern in _PPM_MALFORMED:
+        with pytest.raises(PpmFormatError, match=pattern) as decoded:
+            decode_ppm(data)
+        assert _pipe_error(data, read_ppm, PpmFormatError) == str(decoded.value)
 
 
 # --- hostile bytes: the decoders raise only their own format errors ---------

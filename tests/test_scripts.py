@@ -62,9 +62,10 @@ def test_output_digest_script():
     labels = [re.fullmatch(r"(\S+) [0-9a-f]{64}", line).group(1) for line in listed]
     assert len(set(labels)) == len(labels) > 500
     assert sum(label.startswith("verify/") for label in labels) == 3
-    # the file layer, both ways, both codecs
+    # the file layer, both ways, both codecs, reads from a file and from a pipe
     assert {label.split("/")[1] for label in labels if label.startswith("file/")} == {
-        "write_qsig", "read_qsig", "write_ppm", "read_ppm"}
+        "write_qsig", "read_qsig", "read_qsig_stream", "write_ppm", "read_ppm",
+        "read_ppm_stream"}
 
 
 def test_output_digest_covers_each_side_of_every_size_switch():
