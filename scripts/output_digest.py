@@ -26,8 +26,12 @@ bin-map block.  Last, under ``file/`` labels, it hashes the file layer: the
 bytes that ``write_qsig`` and ``write_ppm`` put on disk and what
 ``read_qsig`` and ``read_ppm`` give back, from the file and (labels
 ``…_stream``) from the same bytes sent through a pipe, for grids on Z_1,
-Z_3 x Z_4 and Z_512 and for a 2x3 and a 32x32 image.  Only public names
-are used, so older trees hash the same way.
+Z_3 x Z_4 and Z_512 and for a 2x3 and a 32x32 image.  Under ``cli/spectrum/``
+labels it hashes the PPM bytes that ``qgft spectrum`` renders, through
+``cli.main``, for each of its branches: random spectra on Z_8 and Z_33, a
+delta, a constant 1e308 and a random spectrum times 1e-170 (whose squared
+magnitudes overflow and underflow) and zeros.  Only public names are used,
+so older trees hash the same way.
 
 With ``--labels`` it first prints one ``label hash`` line per hashed output,
 the verify reports included, so two trees' outputs can be compared label by
@@ -68,6 +72,7 @@ from qgft import (
     transform_beta,
     translate,
 )
+from qgft.cli import main as cli_main
 from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
 
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
@@ -85,6 +90,15 @@ VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
 # the file layer: a header-sized file, a small one and an 8 MB one; images (height, width)
 FILE_GROUPS = [(1,), (3, 4), (512,)]
 FILE_IMAGES = [(2, 3), (32, 32)]
+# qgft spectrum: each branch of its magnitude scaling, by label
+SPECTRUM_CASES = {
+    "Z8/random": ((8,), random_spectrum),
+    "Z33/random": ((33,), random_spectrum),
+    "Z8/delta": ((8,), lambda g, rng: QSpectrum.delta(g)),
+    "Z8/overflow": ((8,), lambda g, rng: QSpectrum(g, np.full((8, 8, 4), 1e308))),
+    "Z8/underflow": ((8,), lambda g, rng: random_spectrum(g, rng) * 1e-170),
+    "Z8/zeros": ((8,), lambda g, rng: QSpectrum.zeros(g)),
+}
 
 
 def read_piped(read, path: str):
@@ -193,6 +207,14 @@ def main() -> None:
             update(f"file/read_ppm/{width}x{height}", b"%dx%d:" % (w, h), back.tobytes())
             w, h, back = read_piped(read_ppm, path)
             update(f"file/read_ppm_stream/{width}x{height}", b"%dx%d:" % (w, h), back.tobytes())
+        rng = np.random.default_rng(24)
+        image = os.path.join(tmp, "image")
+        for label, (moduli, make) in SPECTRUM_CASES.items():
+            write_qsig(path, make(FiniteAbelianGroup(moduli), rng))
+            if cli_main(["spectrum", path, image]) != 0:
+                raise SystemExit(f"qgft spectrum failed on {label}")
+            with open(image, "rb") as fh:
+                update(f"cli/spectrum/{label}", fh.read())
     print(digest.hexdigest())
 
 

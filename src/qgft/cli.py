@@ -43,7 +43,7 @@ from .fileio import (
 from .group import FiniteAbelianGroup
 from .kernels import BUILTIN_FAMILIES, builtin_family, smooth
 from .qft import FORWARD_DIRECT, FORWARD_FAST, INVERSE_DIRECT, INVERSE_FAST, TransformKind
-from .quat import DEFAULT_AXES, AxisPair, Quaternion
+from .quat import DEFAULT_AXES, AxisPair, Quaternion, qabs
 from .signal import QSignal, QSpectrum, _NonFiniteError, lp_norm, random_signal
 from .verify import run_verification
 
@@ -156,14 +156,14 @@ def cmd_q2img(args) -> int:
 def cmd_spectrum(args) -> int:
     F = _load(args.input, QSpectrum)
     n = F.group.order
-    mag = np.sqrt((F.values**2).sum(axis=-1))
+    mag = qabs(F.values)
     peak = float(mag.max())
     if 1e-150 < peak < np.inf:  # the squares are normal floats
         img = np.log1p(mag) / np.log1p(peak) * 255.0
     elif F.values.any():  # the squares overflowed or lost bits to underflow;
         # they are taken again on values scaled by 2**-e, where |values| < 2**e
         e = int(np.frexp(np.abs(F.values).max())[1])
-        m = np.sqrt((np.ldexp(F.values, -e) ** 2).sum(axis=-1))
+        m = qabs(np.ldexp(F.values, -e))
         if peak == np.inf:  # log1p(2**e * m) = e*log(2) + log(2**-e + m), all finite
             img = e * np.log(2.0) + np.log(np.ldexp(1.0, -e) + m)
         else:  # log1p(x) = x for x this small

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quat import AXIS_TOL, Quaternion
+from .quat import AXIS_TOL, Quaternion, _frozen
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -111,19 +111,20 @@ class FiniteAbelianGroup:
             s[t] = s[t + 1] * self.moduli[t + 1]
         return s
 
+    def _indices(self, coords: np.ndarray) -> np.ndarray:
+        """Canonical indices of the integer coordinate rows ``coords`` (last
+        axis), each coordinate taken mod its modulus first."""
+        return (coords % self.moduli) @ self._strides
+
     @cached_property
     def coords_matrix(self) -> np.ndarray:
         """(order, rank) int64 matrix of coordinates in canonical order."""
-        m = np.arange(self.order, dtype=np.int64)[:, None] // self._strides % self.moduli
-        m.setflags(write=False)
-        return m
+        return _frozen(np.arange(self.order)[:, None] // self._strides % self.moduli)
 
     @cached_property
     def neg_perm(self) -> np.ndarray:
         """Index permutation sending index(x) to index(-x); an involution."""
-        p = ((-self.coords_matrix) % self.moduli) @ self._strides
-        p.setflags(write=False)
-        return p
+        return _frozen(self._indices(-self.coords_matrix))
 
     @cached_property
     def neg_swaps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +132,7 @@ class FiniteAbelianGroup:
         side, and their images under :attr:`neg_perm`."""
         lo = np.flatnonzero(self.neg_perm > np.arange(self.order))
         moved = np.stack([lo, self.neg_perm[lo]], axis=1).reshape(-1)
-        partner = self.neg_perm[moved]
-        moved.setflags(write=False)
-        partner.setflags(write=False)
-        return moved, partner
+        return _frozen(moved), _frozen(self.neg_perm[moved])
 
     @cached_property
     def angle_table(self) -> np.ndarray:
@@ -143,8 +141,7 @@ class FiniteAbelianGroup:
         for t, n in enumerate(self.moduli):
             c = self.coords_matrix[:, t]
             th += (TWO_PI / n) * ((c[:, None] * c[None, :]) % n)
-        th.setflags(write=False)
-        return th
+        return _frozen(th)
 
     @cached_property
     def dft_matrices(self) -> dict[bool, np.ndarray]:
@@ -155,25 +152,19 @@ class FiniteAbelianGroup:
         product of the factors' matrices.
         """
         fwd = np.exp(-1j * self.angle_table)
-        mats = {False: fwd, True: fwd.conj() / self.order}
-        for m in mats.values():
-            m.setflags(write=False)
-        return mats
+        return {False: _frozen(fwd), True: _frozen(fwd.conj() / self.order)}
 
     @cached_property
     def difference_table(self) -> np.ndarray:
         """(order, order) table d[a, b] = index(element_a - element_b)."""
         c = self.coords_matrix
-        d = (c[:, None, :] - c[None, :, :]) % self.moduli
-        tab = d @ self._strides
-        tab.setflags(write=False)
-        return tab
+        return _frozen(self._indices(c[:, None, :] - c[None, :, :]))
 
     def shift_perm(self, y: "GroupElement") -> np.ndarray:
         """Permutation p with p[index(x)] = index(x + y)."""
         if y.group != self:
             raise ValueError("shift element belongs to a different group")
-        return ((self.coords_matrix + y.coords) % self.moduli) @ self._strides
+        return self._indices(self.coords_matrix + y.coords)
 
     def __repr__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.moduli)

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import signal
 from .group import FiniteAbelianGroup
-from .quat import DEFAULT_AXES, AxisPair, qabs2
-from .signal import QSignal, _frozen, _grid_fft, _pocketfft, convolve, lp_norm, reflect_conj
+from .quat import DEFAULT_AXES, AxisPair, _frozen, qabs2
+from .signal import QSignal, _grid_fft, _pocketfft, convolve, lp_norm, reflect_conj
 from .qft import rqft_fast
 
 __all__ = [
@@ -133,40 +133,29 @@ def spatial_kernel(family: KernelFamily, level: int, group: FiniteAbelianGroup) 
     return QSignal._own(group, vals)
 
 
-def _smoothed(
-    spec: np.ndarray, group: FiniteAbelianGroup, envelopes: Sequence[np.ndarray]
-) -> Iterator[QSignal]:
-    """The smoothed signal ifftn(spec * phi(u) * phi(v)) for each envelope phi.
-
-    ``spec`` is the ``_grid_fft`` of a payload's complex view.  The last
-    envelope multiplies ``spec`` in place, so one envelope costs one array,
-    the result.
-    """
-    for k, env in enumerate(envelopes, 1):
-        weight = np.outer(env, env)
-        out = np.multiply(spec, weight[..., None], out=spec if k == len(envelopes) else None)
-        _grid_fft(out, group, inverse=True, out=out)
-        yield QSignal._own(group, out.view(np.float64))
-
-
 def _smoothings(f: QSignal, envelopes: Sequence[np.ndarray]) -> Iterator[QSignal]:
-    """f * P for each envelope's kernel P, in order.
+    """f * P for each envelope's kernel P, in order: the one smoothing generator.
 
     Up to ``signal.TINY_CORE_MAX`` (read at call time) each is S X S^T, two real
-    products with the cached circulant S, into the one array returned; above
-    it, ``_smoothed`` of f's spectrum, taken once.
+    products with the cached circulant S, into the one array returned.  Above
+    it, f's spectrum (the ``_grid_fft`` of its complex view) is taken once and
+    each result is the inverse DFT of spec * phi(u) * phi(v); the last envelope
+    multiplies the spectrum in place, so an envelope costs one array, the result.
     """
     grp = f.group
     n = grp.order
-    if n > signal.TINY_CORE_MAX:
-        yield from _smoothed(_grid_fft(f.values.view(np.complex128), grp), grp, envelopes)
-        return
+    spec = _grid_fft(f.values.view(np.complex128), grp) if n > signal.TINY_CORE_MAX else None
     x = f.values.reshape(n, 4 * n)
-    for env in envelopes:
-        s = _circulant(grp.moduli, np.asarray(env, dtype=np.float64).tobytes())
-        out = np.empty((n, n, 4))
-        # S acts on the first variable as a left product, on the second batched per row
-        np.matmul(s, (s @ x).reshape(n, n, 4), out=out)
+    for k, env in enumerate(envelopes, 1):
+        if spec is None:
+            s = _circulant(grp.moduli, np.asarray(env, dtype=np.float64).tobytes())
+            out = np.empty((n, n, 4))
+            # S acts on the first variable as a left product, on the second batched per row
+            np.matmul(s, (s @ x).reshape(n, n, 4), out=out)
+        else:
+            weight = np.outer(env, env)[..., None]
+            out = np.multiply(spec, weight, out=spec if k == len(envelopes) else None)
+            out = _grid_fft(out, grp, inverse=True, out=out).view(np.float64)
         yield QSignal._own(grp, out)
 
 

@@ -72,12 +72,11 @@ import numpy as np
 
 from . import signal
 from .group import FiniteAbelianGroup, _characters
-from .quat import DEFAULT_AXES, AxisPair, Quaternion, qmul
+from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, qmul
 from .signal import (
     QSignal,
     QSpectrum,
     _bin_map,
-    _frozen,
     _pocketfft,
     _scratch,
     transform_W,
@@ -177,7 +176,9 @@ def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarra
     exp(-mu theta); inverse sums use exp(mu theta) and the dual weight.
     ``angle_table`` is exactly symmetric, so every table is already
     [output, summed] for both directions; the tables of one call share one
-    cos and one sin of it, and each is built just before its stage.
+    cos and one sin of it, and each is built just before its stage.  The
+    result is a new C-ordered array for the evaluators to adopt (``_own``):
+    only a last stage over axis 0, which leaves a transposed view, copies.
 
     Inside ``_stage_memo`` and up to ``TINY_CORE_MAX`` the first
     ``_STAGE_MEMO_MAX`` stage matrices are built once and kept read-only,
@@ -203,37 +204,37 @@ def _defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarra
             if memo is not None and len(memo) < _STAGE_MEMO_MAX:
                 memo[key] = _frozen(m)
         v = _apply_stage(v, m, axis)
-    return v * grp.dual_weight if inverse else v
+    return np.ascontiguousarray(v * grp.dual_weight if inverse else v)
 
 
 def rqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Right-sided transform by its defining sum."""
-    return QSpectrum(f.group, _defining_sum(f, axes, ((0, False), (1, False))))
+    return QSpectrum._own(f.group, _defining_sum(f, axes, ((0, False), (1, False))))
 
 
 def irqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the right-sided transform; kernel order k2 then k1."""
-    return QSignal(F.group, _defining_sum(F, axes, ((1, False), (0, False)), inverse=True))
+    return QSignal._own(F.group, _defining_sum(F, axes, ((1, False), (0, False)), inverse=True))
 
 
 def sqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Two-sided (sandwich) transform by its defining sum."""
-    return QSpectrum(f.group, _defining_sum(f, axes, ((0, True), (1, False))))
+    return QSpectrum._own(f.group, _defining_sum(f, axes, ((0, True), (1, False))))
 
 
 def isqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the two-sided transform."""
-    return QSignal(F.group, _defining_sum(F, axes, ((0, True), (1, False)), inverse=True))
+    return QSignal._own(F.group, _defining_sum(F, axes, ((0, True), (1, False)), inverse=True))
 
 
 def lqft_direct(f: QSignal, axes: AxisPair = DEFAULT_AXES) -> QSpectrum:
     """Left-sided transform: both kernel factors to the left of f."""
-    return QSpectrum(f.group, _defining_sum(f, axes, ((1, True), (0, True))))
+    return QSpectrum._own(f.group, _defining_sum(f, axes, ((1, True), (0, True))))
 
 
 def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
     """Inverse of the left-sided transform; k1 meets F first, k2 goes left."""
-    return QSignal(F.group, _defining_sum(F, axes, ((0, True), (1, True)), inverse=True))
+    return QSignal._own(F.group, _defining_sum(F, axes, ((0, True), (1, True)), inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,6 @@ def classical_dft_via_rqft(
     comps = np.zeros((n, n, 4))
     comps[..., 0] = z.real[:, None]
     comps[..., 1] = z.imag[:, None]
-    lifted = QSignal(group, axes.from_frame(comps))
-    F = rqft_fast(lifted, axes)
+    F = rqft_fast(QSignal._own(group, axes.from_frame(comps)), axes)
     col = axes.to_frame(F.values[:, 0, :])
     return (col[:, 0] + 1j * col[:, 1]) / n

@@ -41,6 +41,13 @@ __all__ = [
 AXIS_TOL = 1e-9
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only and returned: the one way the library freezes the
+    tables it caches and the grid payloads it shares with every caller."""
+    m.setflags(write=False)
+    return m
+
+
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of real ``(..., 4)`` arrays, broadcasting like ``*``.
 
@@ -192,16 +199,8 @@ class AxisPair:
     @cached_property
     def frame_matrix(self) -> np.ndarray:
         """Orthogonal 4x4 matrix whose rows are 1, mu1, mu2, mu3."""
-        m = np.stack(
-            [
-                np.array([1.0, 0.0, 0.0, 0.0]),
-                self.mu1.to_array(),
-                self.mu2.to_array(),
-                self.mu3.to_array(),
-            ]
-        )
-        m.setflags(write=False)
-        return m
+        rows = (ONE, self.mu1, self.mu2, self.mu3)
+        return _frozen(np.stack([q.to_array() for q in rows]))
 
     @cached_property
     def _maps(self) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import FiniteAbelianGroup, GroupElement
-from .quat import DEFAULT_AXES, AxisPair, Quaternion, qabs, qconj, qmul
+from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, qabs, qconj, qmul
 
 __all__ = [
     "QSignal",
@@ -61,7 +61,9 @@ class _QGrid:
     @classmethod
     def _own(cls, group: FiniteAbelianGroup, values: np.ndarray):
         """Wrap a float64 C-ordered array the library has just built, without
-        the defensive copy; the checks still run and the array is frozen."""
+        the defensive copy; the checks still run and the array is frozen.  Every
+        grid the library builds goes through here: the public constructor copies
+        only arrays that callers pass in, and ``decode_qsig``'s bytes."""
         grid = cls.__new__(cls)
         grid._adopt(group, values)
         return grid
@@ -340,12 +342,6 @@ def _projection(axes: AxisPair, components: tuple) -> np.ndarray:
         for k in components:
             m = m + np.outer(frame[k], frame[k])
         m = axes._maps[components] = _frozen(m)
-    return m
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    """``m`` made read-only: cached maps and grid payloads are shared by every caller."""
-    m.setflags(write=False)
     return m
 
 

@@ -134,7 +134,7 @@ def _plane_scalar(rng: np.random.Generator, axis) -> Quaternion:
 def _even_first(group, rng) -> QSignal:
     """Random signal that is even in the first variable."""
     v = random_signal(group, rng).values
-    return QSignal(group, 0.5 * (v + v[group.neg_perm]))
+    return QSignal._own(group, 0.5 * (v + v[group.neg_perm]))
 
 
 def _plane_valued(group, rng) -> QSignal:
@@ -142,7 +142,7 @@ def _plane_valued(group, rng) -> QSignal:
     n = group.order
     comps = np.zeros((n, n, 4))
     comps[..., :2] = rng.standard_normal((n, n, 2))
-    return QSignal(group, comps)
+    return QSignal._own(group, comps)
 
 
 class _Harness:

@@ -4,8 +4,10 @@ Most functions compute one value the library computes for a whole array
 at once: the frame coordinates and symplectic split of a single quaternion
 (``AxisPair.to_frame``/``from_frame`` on one entry) and one character value
 or pairing angle (one entry of ``character_table``/``angle_table``).  The
-tests use them as pointwise oracles.  The last three are the defining sum
-in its earlier array form, which the oracle must match bit for bit.
+tests use them as pointwise oracles.  Then come the defining sum in its
+earlier array form, which the oracle must match bit for bit, and the
+defining sum in ``np.longdouble``, which every evaluator must match to its
+float64 rounding error.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from qgft.group import TWO_PI, GroupElement, _check_axis
-from qgft.qft import _HAMILTON
+from qgft.qft import _HAMILTON, _apply_stage, _stage_matrix
 from qgft.quat import DEFAULT_AXES, AxisPair, Quaternion
 
 
@@ -103,3 +105,47 @@ def defining_sum(x, axes: AxisPair, stages, inverse: bool = False) -> np.ndarray
     for axis, left in stages:
         v = contract_tensordot(v, tables[axis], axis, left)
     return v * grp.dual_weight if inverse else v
+
+
+# Each evaluator's stages, (grid axis, kernel on the left), and whether it is an
+# inverse, by the kernel placements of the ``qft`` module docstring.
+STAGES = {
+    "rqft": (((0, False), (1, False)), False),
+    "irqft": (((1, False), (0, False)), True),
+    "sqft": (((0, True), (1, False)), False),
+    "isqft": (((0, True), (1, False)), True),
+    "lqft": (((1, True), (0, True)), False),
+    "ilqft": (((0, True), (1, True)), True),
+}
+
+
+def defining_sum_longdouble(kind: str, x, axes: AxisPair) -> np.ndarray:
+    """The ``kind`` transform of ``x`` by its defining sum in ``np.longdouble``.
+
+    2*pi, the pairing angles and their cos and sin are taken in extended
+    precision; the axes are used as stored, so a pair that is not exactly
+    orthonormal gets its exact transform.  The stage matrices and products
+    are ``qft._stage_matrix`` and ``qft._apply_stage``, which keep the dtype.
+    """
+    stages, inverse = STAGES[kind]
+    grp = x.group
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    th = np.zeros((grp.order, grp.order), dtype=np.longdouble)
+    for t, n in enumerate(grp.moduli):
+        c = grp.coords_matrix[:, t]
+        th += (two_pi / n) * ((c[:, None] * c[None, :]) % n)
+    cos, sin = np.cos(th), np.sin(th)
+    sign = np.longdouble(1 if inverse else -1)
+    v = x.values.astype(np.longdouble)
+    for axis, left in stages:
+        mu = (axes.mu2 if axis else axes.mu1).to_array().astype(np.longdouble)
+        k = np.stack([cos] + [sign * m * sin for m in mu[1:]], axis=-1)
+        v = _apply_stage(v, _stage_matrix(k, left), axis)
+    return v / np.longdouble(grp.order) ** 2 if inverse else v
+
+
+def axis_defect(axes: AxisPair) -> np.longdouble:
+    """How far the stored pair is from orthonormal, in ``np.longdouble``:
+    max(|‖mu1‖² − 1|, |‖mu2‖² − 1|, |mu1 · mu2|)."""
+    mu1, mu2 = (mu.to_array().astype(np.longdouble) for mu in (axes.mu1, axes.mu2))
+    return max(abs(mu1 @ mu1 - 1), abs(mu2 @ mu2 - 1), abs(mu1 @ mu2))

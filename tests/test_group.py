@@ -101,12 +101,16 @@ def test_index_of_resolves_elements_and_indices(z4, z8):
             z4.element_at(bad)
 
 
-def test_groups_of_any_rank():
+def test_groups_of_any_rank(rng):
     # numpy arrays take at most 64 dimensions and np.meshgrid 32 inputs
     for moduli in ((17,) + (1,) * 32, (2,) + (1,) * 70, (1, 3) + (1,) * 40 + (4, 1)):
         g = FiniteAbelianGroup(moduli)
         c = g.coords_matrix
-        assert c.shape == (g.order, g.rank) and not c.flags.writeable
+        assert c.shape == (g.order, g.rank)
+        # every cached table is shared by all callers, so none can be written
+        tables = [c, g.neg_perm, *g.neg_swaps, g.angle_table, *g.dft_matrices.values(),
+                  g.difference_table, random_axis_pair(rng).frame_matrix, DEFAULT_AXES.frame_matrix]
+        assert not any(t.flags.writeable for t in tables)
         assert [el.index for el in g.elements()] == list(range(g.order))
         assert np.array_equal(c[:, [m > 1 for m in moduli]],
                               FiniteAbelianGroup(tuple(m for m in moduli if m > 1)).coords_matrix)

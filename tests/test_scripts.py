@@ -66,6 +66,10 @@ def test_output_digest_script():
     assert {label.split("/")[1] for label in labels if label.startswith("file/")} == {
         "write_qsig", "read_qsig", "read_qsig_stream", "write_ppm", "read_ppm",
         "read_ppm_stream"}
+    # qgft spectrum's renders: each branch of its magnitude scaling
+    spectra = [label.split("/")[2:] for label in labels if label.startswith("cli/spectrum/")]
+    assert {case for _, case in spectra} == {"random", "delta", "overflow", "underflow", "zeros"}
+    assert {"Z8", "Z33"} <= {group for group, _ in spectra}
 
 
 def test_output_digest_covers_each_side_of_every_size_switch():
