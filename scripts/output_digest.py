@@ -30,8 +30,10 @@ Z_3 x Z_4 and Z_512 and for a 2x3 and a 32x32 image.  Under ``cli/spectrum/``
 labels it hashes the PPM bytes that ``qgft spectrum`` renders, through
 ``cli.main``, for each of its branches: random spectra on Z_8 and Z_33, a
 delta, a constant 1e308 and a random spectrum times 1e-170 (whose squared
-magnitudes overflow and underflow) and zeros.  Only public names are used,
-so older trees hash the same way.
+magnitudes overflow and underflow) and zeros.  Last, under ``scalar_mul/``
+labels, it hashes ``left_mul`` and ``right_mul`` by a random quaternion on
+the nine groups and on the three whose payloads span several map blocks.
+Only public names are used, so older trees hash the same way.
 
 With ``--labels`` it first prints one ``label hash`` line per hashed output,
 the verify reports included, so two trees' outputs can be compared label by
@@ -215,6 +217,12 @@ def main() -> None:
                 raise SystemExit(f"qgft spectrum failed on {label}")
             with open(image, "rb") as fh:
                 update(f"cli/spectrum/{label}", fh.read())
+    rng = np.random.default_rng(25)
+    for moduli in GROUPS + BLOCKED_MAP_GROUPS:
+        g = FiniteAbelianGroup(moduli)
+        f, q = random_signal(g, rng), qgft.Quaternion(*rng.standard_normal(4))
+        add(f"scalar_mul/left/{g!r}", f.left_mul(q).values)
+        add(f"scalar_mul/right/{g!r}", f.right_mul(q).values)
     print(digest.hexdigest())
 
 

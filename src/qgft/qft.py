@@ -72,7 +72,8 @@ import numpy as np
 
 from . import signal
 from .group import FiniteAbelianGroup, _characters
-from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, qmul
+from .quat import _HAMILTON, _HAMILTON_SIDES  # noqa: F401  (tests import them from here)
+from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, _qdot, _qmatrix
 from .signal import (
     QSignal,
     QSpectrum,
@@ -113,23 +114,18 @@ class TransformKind(Enum):
 # direct (defining-sum) evaluators
 
 
-_HAMILTON = qmul(np.eye(4)[:, None], np.eye(4))  # [b, c] = e_b * e_c, e = 1, i, j, k
-# per kernel side, [b, (c, a)]: component a of e_b * e_c (left) or e_c * e_b
-_HAMILTON_SIDES = {True: _HAMILTON.reshape(4, 16), False: _HAMILTON.swapaxes(0, 1).reshape(4, 16)}
-
-
 def _stage_matrix(k: np.ndarray, left: bool) -> np.ndarray:
     """The ``(4n, 4n)`` real matrix of one stage, from its character table.
 
     Multiplication by each k[u, x] is a real 4x4 matrix, so summing a grid
     axis against ``k`` is one product with this matrix:
     m[(x, c), (u, a)] = component a of k[u, x] * e_c (left) or
-    e_c * k[u, x].  It is built by one product too: on tiny grids,
-    ``tensordot``'s argument handling costs more than that.
+    e_c * k[u, x], the entries of ``quat._qmatrix``: one product with the
+    Hamilton table, as on tiny grids ``tensordot``'s argument handling
+    costs more than that.
     """
     n = k.shape[0]
-    m = (k.reshape(n * n, 4) @ _HAMILTON_SIDES[left]).reshape(n, n, 4, 4)
-    return m.transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
+    return _qmatrix(k, left).transpose(1, 2, 0, 3).reshape(4 * n, 4 * n)
 
 
 def _apply_stage(v: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -244,6 +240,12 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # by column halves: below it, starting threads costs more than the overlap saves (measured
 # in CHANGES.md, "The whole fast core on two threads, by row halves and then by column halves").
 PARALLEL_DFT_MIN = 288
+# Up to this many multiply-adds a product runs on the calling thread: OpenBLAS
+# (interface/gemm.c) starts its own worker threads above SMP_THRESHOLD_MIN (65536) times
+# GEMM_MULTITHREAD_THRESHOLD (4 by default), and on a busy host a product that waits for
+# one costs milliseconds.  The tiny core's first product (32 n^3 from order 21 on) runs
+# in row blocks of at most this size, which leaves its bits as they were.
+_BLAS_SERIAL_MAX = 1 << 18
 
 
 def _in_halves(phase, order: int) -> None:
@@ -345,8 +347,15 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     out = np.empty(x.values.shape)
     if n <= signal.TINY_CORE_MAX:
         right, dft = _tiny_core(grp, axes, inverse, left, flip)
-        terms = (x.values.reshape(n, 4 * n) @ right).reshape(2 * n, 4 * n)
-        np.matmul(dft, terms, out=out.reshape(n, 4 * n))
+        rows = x.values.reshape(n, 4 * n)
+        step = max(1, _BLAS_SERIAL_MAX // (32 * n * n))  # a row costs 4n * 8n
+        if step >= n:
+            terms = rows @ right
+        else:  # by row blocks, each into its slice of the one (n, 8n) array
+            terms = np.empty((n, 8 * n))
+            for i in range(0, n, step):
+                np.matmul(rows[i:i + step], right, out=terms[i:i + step])
+        np.matmul(dft, terms.reshape(2 * n, 4 * n), out=out.reshape(n, 4 * n))
         return out
     entry, exit_ = _core_maps(axes, left, flip == "before")
     planes = out.view(np.complex128)
@@ -490,14 +499,14 @@ def multiplication_pairing(
         raise ValueError("signal and spectrum must share a group")
     F = rqft_direct(f, axes)
     dw = f.group.dual_weight
-    lhs = Quaternion.from_array(qmul(F.values, g.values).sum(axis=(0, 1)) * dw)
+    lhs = Quaternion.from_array(_qdot(F.values, g.values) * dw)
 
     # the forward sums' stages, both kernels on the right: rqft's order or irqft's
     stages = {"mu1-mu2": ((0, False), (1, False)), "mu2-mu1": ((1, False), (0, False))}
     if kernel_order not in stages:
         raise ValueError("kernel_order must be 'mu1-mu2' or 'mu2-mu1'")
     H = _defining_sum(transform_beta(g, axes), axes, stages[kernel_order])
-    rhs = Quaternion.from_array(qmul(f.values, H).sum(axis=(0, 1)) * dw)
+    rhs = Quaternion.from_array(_qdot(f.values, H) * dw)
     return lhs, rhs
 
 

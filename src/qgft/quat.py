@@ -9,6 +9,15 @@ Two representations coexist: the scalar :class:`Quaternion` for single values
 and plain ``float64`` arrays of shape ``(..., 4)`` for bulk work (see
 :func:`qmul`, :func:`qconj`, :func:`qabs2`).  Everything here is immutable
 and pure, so values can be shared freely across threads.
+
+This module owns the one Hamilton table, ``_HAMILTON[b, c] = e_b * e_c``
+for e = 1, i, j, k, and the two real forms of quaternion products built on
+it.  A sum over bins of products is bilinear, so ``_qdot`` takes it as the
+real ``(4, 4)`` Gram matrix of the two payloads' components, one product,
+followed by the table.  A product with one quaternion q is linear, so
+``_qmatrix`` gives it as q's real 4x4 matrix, which a caller applies to
+every bin as a row vector (``signal._bin_map``).  Neither builds a per-bin
+Hamilton product.
 """
 
 from __future__ import annotations
@@ -53,7 +62,10 @@ def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     The term grouping of each component is fixed so that
     ``qconj(qmul(p, q)) == qmul(qconj(q), qconj(p))`` holds bitwise, not
-    merely to rounding.
+    merely to rounding.  This is the form for general per-bin products; the
+    library itself sums products with ``_qdot`` and multiplies by one
+    quaternion with ``_qmatrix``, and calls ``qmul`` only to build
+    ``_HAMILTON``.
     """
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
@@ -66,6 +78,34 @@ def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+_HAMILTON = qmul(np.eye(4)[:, None], np.eye(4))  # [b, c] = e_b * e_c, e = 1, i, j, k
+# per side of the fixed factor, [b, (c, a)]: component a of e_b * e_c (left) or e_c * e_b
+_HAMILTON_SIDES = {True: _HAMILTON.reshape(4, 16), False: _HAMILTON.swapaxes(0, 1).reshape(4, 16)}
+
+
+def _qdot(p: np.ndarray, q: np.ndarray, conj: bool = False) -> np.ndarray:
+    """The sum over every bin of p(x) * q(x), or of p(x) * conj(q(x)) with
+    ``conj``, for ``(..., 4)`` arrays of one shape; a ``(4,)`` array.
+
+    The sum is G.reshape(16) @ _HAMILTON.reshape(16, 4) with the Gram matrix
+    G[b, c] = sum_x p_b(x) q_c(x), one real product; the conjugate changes
+    the sign of G's last three columns, so no conjugated copy of ``q`` is
+    made.
+    """
+    g = p.reshape(-1, 4).T @ q.reshape(-1, 4)
+    if conj:
+        g[:, 1:] *= -1.0
+    return g.reshape(16) @ _HAMILTON.reshape(16, 4)
+
+
+def _qmatrix(q: np.ndarray, left: bool) -> np.ndarray:
+    """The real 4x4 matrices of the products with ``(..., 4)`` quaternions q,
+    ``(..., 4, 4)``: for a row vector x, ``x @ m`` is q * x if ``left``, else
+    x * q.  m[c, a] is component a of q * e_c (or e_c * q), all of them from
+    one product with the Hamilton table."""
+    return (q.reshape(-1, 4) @ _HAMILTON_SIDES[left]).reshape(q.shape[:-1] + (4, 4))
 
 
 def qconj(q: np.ndarray) -> np.ndarray:

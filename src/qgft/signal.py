@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import FiniteAbelianGroup, GroupElement
-from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, qabs, qconj, qmul
+from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, _qdot, _qmatrix, qabs, qconj
 
 __all__ = [
     "QSignal",
@@ -132,11 +132,19 @@ class _QGrid:
 
     def left_mul(self, q: Quaternion):
         """Pointwise product q * f(x)."""
-        return self._own(self.group, qmul(q.to_array(), self.values))
+        return self._scaled(q, True)
 
     def right_mul(self, q: Quaternion):
         """Pointwise product f(x) * q."""
-        return self._own(self.group, qmul(self.values, q.to_array()))
+        return self._scaled(q, False)
+
+    def _scaled(self, q: Quaternion, left: bool):
+        """q * f(x) if ``left``, else f(x) * q: q's real 4x4 matrix
+        (``quat._qmatrix``) applied to every bin by ``_bin_map``, whose blocks
+        keep each product on the calling thread up to order 512."""
+        out = np.empty(self.values.shape)
+        _bin_map(self.values, None, _qmatrix(q.to_array(), left), self.group.neg_perm, out)
+        return self._own(self.group, out)
 
     def conj(self):
         return self._own(self.group, qconj(self.values))
@@ -198,11 +206,13 @@ def inner_q(f: _QGrid, g: _QGrid) -> Quaternion:
     """Quaternion inner product sum_x f(x) * conj(g(x)) * weight.
 
     Left-linear over quaternion scalars and conjugate-linear on the right:
-    inner_q(p*f, q*g) = p * inner_q(f, g) * conj(q).
+    inner_q(p*f, q*g) = p * inner_q(f, g) * conj(q).  The sum is
+    ``quat._qdot``'s: the ``(4, 4)`` Gram matrix of the two payloads'
+    components, one real product, then the Hamilton table, with no per-bin
+    product and no conjugated copy of g.
     """
     f._check_same_carrier(g)
-    s = qmul(f.values, qconj(g.values)).sum(axis=(0, 1)) * f.weight
-    return Quaternion.from_array(s)
+    return Quaternion.from_array(_qdot(f.values, g.values, conj=True) * f.weight)
 
 
 def inner_real(f: _QGrid, g: _QGrid) -> float:

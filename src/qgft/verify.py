@@ -41,7 +41,7 @@ from .qft import (
     rqft_fast,
     sqft_direct,
 )
-from .quat import DEFAULT_AXES, Quaternion, qabs, qmul, random_axis_pair
+from .quat import DEFAULT_AXES, Quaternion, _qdot, qabs, random_axis_pair
 from .signal import (
     QSignal,
     convolve,
@@ -515,8 +515,8 @@ def _run_checks(group, trials, seed, tol) -> VerifyReport:
         got = convolve(f, gg).values
         x1, x2 = rng.integers(g.order, size=(conv_points, 2)).T
         sub = g.difference_table  # sub[a, b] = index(a - b)
-        shifted = gg.values[sub[x1][:, :, None], sub[x2][:, None, :]]  # g(x - y) per x
-        want = qmul(f.values, shifted).sum(axis=(1, 2)) * f.weight
+        want = [_qdot(f.values, gg.values[np.ix_(sub[a], sub[b])]) * f.weight  # g(x - y)
+                for a, b in zip(x1, x2)]
         err = float(qabs(got[x1, x2] - want).max())
         return _rel(err, lp_norm(f, 2) * lp_norm(gg, 2))
 

@@ -7,7 +7,9 @@ or pairing angle (one entry of ``character_table``/``angle_table``).  The
 tests use them as pointwise oracles.  Then come the defining sum in its
 earlier array form, which the oracle must match bit for bit, and the
 defining sum in ``np.longdouble``, which every evaluator must match to its
-float64 rounding error.
+float64 rounding error.  Last come the sums and scalar products of
+quaternion grids as per-bin Hamilton products (``qmul``), the form the
+library replaced by 4x4 real contractions, which it must match to rounding.
 """
 
 import math
@@ -15,8 +17,9 @@ import math
 import numpy as np
 
 from qgft.group import TWO_PI, GroupElement, _check_axis
-from qgft.qft import _HAMILTON, _apply_stage, _stage_matrix
-from qgft.quat import DEFAULT_AXES, AxisPair, Quaternion
+from qgft.qft import _HAMILTON, _apply_stage, _defining_sum, _stage_matrix, rqft_direct
+from qgft.quat import DEFAULT_AXES, AxisPair, Quaternion, qconj, qmul
+from qgft.signal import transform_beta
 
 
 def component_in_frame(q: Quaternion, axes: AxisPair = DEFAULT_AXES):
@@ -149,3 +152,23 @@ def axis_defect(axes: AxisPair) -> np.longdouble:
     max(|‖mu1‖² − 1|, |‖mu2‖² − 1|, |mu1 · mu2|)."""
     mu1, mu2 = (mu.to_array().astype(np.longdouble) for mu in (axes.mu1, axes.mu2))
     return max(abs(mu1 @ mu1 - 1), abs(mu2 @ mu2 - 1), abs(mu1 @ mu2))
+
+
+def inner_q_qmul(f, g) -> np.ndarray:
+    """``inner_q(f, g)`` as the sum of the per-bin products f(x) * conj(g(x))."""
+    return qmul(f.values, qconj(g.values)).sum(axis=(0, 1)) * f.weight
+
+
+def scalar_mul_qmul(f, q: Quaternion, left: bool) -> np.ndarray:
+    """``f.left_mul(q)`` (q * f(x)) if ``left``, else ``f.right_mul(q)``, per bin."""
+    return qmul(q.to_array(), f.values) if left else qmul(f.values, q.to_array())
+
+
+def pairing_qmul(f, g, axes: AxisPair = DEFAULT_AXES, kernel_order: str = "mu1-mu2"):
+    """Both sides of ``multiplication_pairing`` as sums of per-bin products,
+    two ``(4,)`` arrays; each is at most ``lp_norm(f, 2) * lp_norm(g, 2)``."""
+    F = rqft_direct(f, axes).values
+    stages = {"mu1-mu2": ((0, False), (1, False)), "mu2-mu1": ((1, False), (0, False))}
+    H = _defining_sum(transform_beta(g, axes), axes, stages[kernel_order])
+    dw = f.group.dual_weight
+    return qmul(F, g.values).sum(axis=(0, 1)) * dw, qmul(f.values, H).sum(axis=(0, 1)) * dw

@@ -70,6 +70,10 @@ def test_output_digest_script():
     spectra = [label.split("/")[2:] for label in labels if label.startswith("cli/spectrum/")]
     assert {case for _, case in spectra} == {"random", "delta", "overflow", "underflow", "zeros"}
     assert {"Z8", "Z33"} <= {group for group, _ in spectra}
+    # left_mul and right_mul, on one bin-map block and on several
+    products = [label.split("/", 2)[1:] for label in labels if label.startswith("scalar_mul/")]
+    assert {side for side, _ in products} == {"left", "right"}
+    assert len(products) == 2 * len({group for _, group in products}) >= 24
 
 
 def test_output_digest_covers_each_side_of_every_size_switch():

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from qgft import (
     inner_q,
     inner_real,
     lp_norm,
+    multiplication_pairing,
     random_axis_pair,
     random_signal,
     random_spectrum,
@@ -31,7 +36,7 @@ from qgft.quat import qmul
 from qgft import cli, kernels, qft, signal
 from qgft.fileio import decode_qsig, encode_qsig, read_qsig, write_qsig
 from qgft.signal import _NonFiniteError, _grid_fft, _pocketfft
-from reference import symplectic_split
+from reference import inner_q_qmul, pairing_qmul, scalar_mul_qmul, symplectic_split
 
 
 def _convolve_direct(f, g):
@@ -355,6 +360,61 @@ def test_inner_products(rng, z8):
     rhs = p * inner_q(f, g) * q.conj()
     assert np.allclose(lhs.to_array(), rhs.to_array(), rtol=1e-12, atol=1e-10)
     assert inner_real(f, g) == pytest.approx(inner_real(g, f), abs=1e-12)
+
+
+@pytest.mark.parametrize("moduli", [(1,), (8,), (3, 4), (33,), (64,)])
+@pytest.mark.parametrize("axes_seed", [None, 3])
+def test_contractions_match_the_per_bin_products(moduli, axes_seed):
+    # inner_q, left_mul, right_mul and both pairing sides are 4x4 real
+    # contractions; the per-bin qmul forms agree to a few eps of |f| |g|
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(sum(moduli))
+    axes = DEFAULT_AXES if axes_seed is None else random_axis_pair(np.random.default_rng(axes_seed))
+    f, h, F = random_signal(g, rng), random_signal(g, rng), random_spectrum(g, rng)
+    q = Quaternion(*rng.standard_normal(4))
+    tol = 4 * np.finfo(float).eps
+
+    def close(got, want, scale):
+        assert np.abs(np.asarray(got) - want).max() <= tol * scale
+
+    close(inner_q(f, h).to_array(), inner_q_qmul(f, h), lp_norm(f, 2) * lp_norm(h, 2))
+    close(inner_q(F, F).to_array(), inner_q_qmul(F, F), lp_norm(F, 2) ** 2)
+    for left, mul in ((True, f.left_mul), (False, f.right_mul)):
+        diff = QSignal(g, mul(q).values - scalar_mul_qmul(f, q, left))
+        assert lp_norm(diff, 2) <= tol * q.norm() * lp_norm(f, 2)
+    for order in ("mu1-mu2", "mu2-mu1"):
+        sides = multiplication_pairing(f, F, axes, order)
+        for got, want in zip(sides, pairing_qmul(f, F, axes, order)):
+            close(got.to_array(), want, lp_norm(f, 2) * lp_norm(F, 2))
+
+
+# rqft_fast's tiny core at Z_32, inner_q's Gram and left_mul's bin map at Z_256, as bytes
+_BLAS_BITS_SCRIPT = """
+import hashlib, numpy as np
+from qgft import FiniteAbelianGroup, Quaternion, inner_q, random_signal, rqft_fast
+rng = np.random.default_rng(7)
+f = random_signal(FiniteAbelianGroup((32,)), rng)
+big, other = (random_signal(FiniteAbelianGroup((256,)), rng) for _ in range(2))
+q = Quaternion(*rng.standard_normal(4))
+for out in (rqft_fast(f).values, inner_q(big, other).to_array(), big.left_mul(q).values):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_threads():
+    # the tiny core's row blocks, the Gram product and the bin map's blocks
+    # give the bits of one BLAS thread with the default thread count too
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    runs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        res = subprocess.run([sys.executable, "-c", _BLAS_BITS_SCRIPT], env={**env, **threads},
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        runs.append(res.stdout.split())
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
 
 
 def test_carrier_mismatch(rng, z4, z8):
