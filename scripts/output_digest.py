@@ -14,9 +14,8 @@ smoothing functions for every built-in family, the energy identity and
 the ``verify`` JSON report for three groups.  The smoothing functions and
 the energy identity also run at order 33, above the switch, where their
 DFTs are pocketfft calls rather than products.  The evaluators and
-``convolve`` also run where the fast core is pocketfft: on one thread at
-order 256, and on two threads at orders 288 and 315 (the latter in uneven
-halves).  On the nine groups it also hashes every other public operation:
+``convolve`` also run where the fast core is pocketfft, at orders 256, 288
+and 315.  On the nine groups it also hashes every other public operation:
 ``transform_W``, ``transform_beta``, both kernel orders of
 ``multiplication_pairing`` and ``classical_dft_via_rqft`` under both axis
 pairs, and ``reflect_conj``, ``translate``, ``lp_norm`` (p = 1, 2 and inf)
@@ -80,12 +79,9 @@ from qgft.fileio import read_ppm, read_qsig, write_ppm, write_qsig
 EVALUATORS = [f"{inv}{side}qft_{mode}" for mode in ("direct", "fast")
               for side in "rsl" for inv in ("", "i")]
 GROUPS = [(1,), (5,), (8,), (3, 4), (2, 2, 3), (16,), (17,), (32,), (4, 8)]
-# evaluators and convolve only: the pocketfft core on one thread, and on two
-# threads from qft.PARALLEL_DFT_MIN on (an odd order splits into uneven halves)
-CORE_GROUPS = [(8, 32)]
-THREADED_GROUPS = [(16, 18), (5, 7, 9)]
-# transform_W and transform_beta on these too: their payloads span several map blocks
-BLOCKED_MAP_GROUPS = CORE_GROUPS + THREADED_GROUPS
+# evaluators, convolve, transform_W and transform_beta: the pocketfft core, with
+# payloads over several map blocks (an odd order's last block is short)
+CORE_GROUPS = [(8, 32), (16, 18), (5, 7, 9)]
 # smoothing and the energy identity: above signal.TINY_CORE_MAX their DFTs are pocketfft calls
 FFT_SMOOTH_GROUPS = [(33,)]
 VERIFY_RUNS = [((4,), 0), ((3, 4), 1), ((2, 5), 2)]
@@ -146,14 +142,14 @@ def main() -> None:
         add(f"energy/{g!r}", energy_identity_pairs(f, pairs))
 
     rng = np.random.default_rng(20)
-    for moduli in GROUPS + CORE_GROUPS + THREADED_GROUPS:
+    for moduli in GROUPS + CORE_GROUPS:
         g = FiniteAbelianGroup(moduli)
         f, F = random_signal(g, rng), random_spectrum(g, rng)
         for axes_label, axes in (("default", qgft.DEFAULT_AXES), ("random", random_axis_pair(rng))):
             for name in EVALUATORS:
                 x = F if name.startswith("i") else f
                 add(f"{name}/{g!r}/{axes_label}", getattr(qgft, name)(x, axes).values)
-            if moduli in BLOCKED_MAP_GROUPS:
+            if moduli in CORE_GROUPS:
                 add(f"transform_W/{g!r}/{axes_label}", transform_W(f, axes).values)
                 add(f"transform_beta/{g!r}/{axes_label}", transform_beta(F, axes).values)
         add(f"convolve/{g!r}", convolve(f, random_signal(g, rng)).values)
@@ -218,7 +214,7 @@ def main() -> None:
             with open(image, "rb") as fh:
                 update(f"cli/spectrum/{label}", fh.read())
     rng = np.random.default_rng(25)
-    for moduli in GROUPS + BLOCKED_MAP_GROUPS:
+    for moduli in GROUPS + CORE_GROUPS:
         g = FiniteAbelianGroup(moduli)
         f, q = random_signal(g, rng), qgft.Quaternion(*rng.standard_normal(4))
         add(f"scalar_mul/left/{g!r}", f.left_mul(q).values)

@@ -33,13 +33,11 @@ in the 2-norm, share one core (Pei-Ding-Chang, Ell-Sangwine): a symplectic
 split into z1, z2 in the plane span{1, mu1}, two in-place full-grid DFTs of
 z1 +/- mu1*z2 and one add/sub pass, with a first-axis frequency negation
 ("flip") of the z2 part, O(|G|^2 log |G|) in total.  The DFTs are pocketfft
-FFTs.  From order ``PARALLEL_DFT_MIN`` on the core runs on two threads, by
-row halves, then column halves; no other module starts a thread.  Up to
-order ``signal.TINY_CORE_MAX``, every module's one switch to DFT matrices,
-the whole core, maps and flips included, is two real products with cached
-matrices.  Each kind is three choices
-(``sqft_fast`` alone still runs the equivalent chain rqft_fast(W f) instead
-of its row):
+FFTs, and the core runs on the calling thread: the library starts none.
+Up to order ``signal.TINY_CORE_MAX``, every module's one switch to DFT
+matrices, the whole core, maps and flips included, is two real products
+with cached matrices.  Each kind is three choices (``sqft_fast`` alone
+still runs the equivalent chain rqft_fast(W f) instead of its row):
 
   kind   inverse  split            z2 flip
   rqft   False    f = z1 + z2*mu2  before the DFTs
@@ -63,18 +61,17 @@ from __future__ import annotations
 
 import contextvars
 import struct
-import threading
 from contextlib import contextmanager
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import signal
 from .group import FiniteAbelianGroup, _characters
-from .quat import _HAMILTON, _HAMILTON_SIDES  # noqa: F401  (tests import them from here)
 from .quat import DEFAULT_AXES, AxisPair, Quaternion, _frozen, _qdot, _qmatrix
 from .signal import (
+    _BLAS_SERIAL_MAX,
     QSignal,
     QSpectrum,
     _bin_map,
@@ -236,61 +233,6 @@ def ilqft_direct(F: QSpectrum, axes: AxisPair = DEFAULT_AXES) -> QSignal:
 # ---------------------------------------------------------------------------
 # fast paths
 
-# From this group order on, the fast core's passes run on two threads, by row halves, then
-# by column halves: below it, starting threads costs more than the overlap saves (measured
-# in CHANGES.md, "The whole fast core on two threads, by row halves and then by column halves").
-PARALLEL_DFT_MIN = 288
-# Up to this many multiply-adds a product runs on the calling thread: OpenBLAS
-# (interface/gemm.c) starts its own worker threads above SMP_THRESHOLD_MIN (65536) times
-# GEMM_MULTITHREAD_THRESHOLD (4 by default), and on a busy host a product that waits for
-# one costs milliseconds.  The tiny core's first product (32 n^3 from order 21 on) runs
-# in row blocks of at most this size, which leaves its bits as they were.
-_BLAS_SERIAL_MAX = 1 << 18
-
-
-def _in_halves(phase, order: int) -> None:
-    """Run ``phase(part, scratch)`` for ``part`` a slice of ``range(order)``.
-
-    Below ``PARALLEL_DFT_MIN`` that is one call on ``slice(None)``: halves
-    would only double the pocketfft calls.  From it on, the first half runs
-    on one worker thread while the second runs here, each with a ``_scratch``
-    allocated here (a thread that allocates grows its own heap).  The worker
-    is started and joined inside the call and runs in a copy of the caller's
-    context, taken after the ufunc buffer size is set, so ``np.errstate`` and
-    that size hold there too.  An exception from either half is raised here
-    once both have finished.  A host that cannot start a thread gets the
-    halves one after the other.
-    """
-    if order < PARALLEL_DFT_MIN:
-        phase(slice(None), _scratch(order))
-        return
-    first = partial(phase, slice(order // 2), _scratch(order))
-    second = partial(phase, slice(order // 2, None), _scratch(order))
-    error = None
-
-    def work():
-        nonlocal error
-        try:
-            first()
-        except BaseException as exc:  # re-raised in the caller
-            error = exc
-
-    with np.errstate():  # a band's rows make no one loop: with ufunc buffers no
-        np.setbufsize(max(16, order // 32 * 16))  # longer than a row, numpy copies none
-        worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        try:
-            worker.start()
-        except RuntimeError:  # no thread to be had
-            first()
-            second()
-            return
-        try:
-            second()
-        finally:
-            worker.join()
-    if error is not None:
-        raise error
-
 
 def _core_maps(axes: AxisPair, left: bool, before: bool):
     """A kind's ``_bin_map`` maps, frame change included: the entry's
@@ -335,12 +277,12 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
     which writes the planes straight from the input, and into the exit map,
     which applies -mu1, the left split's sign and the way back in place
     (see ``_core_maps``); an "after" flip swaps the rows of f2.  The inverse
-    DFTs normalise by 1/|G|^2.  By rows run the entry map and second-variable
-    DFTs, then by columns the first-variable DFTs, the add/sub pass to
-    (c + e)/2 and (c - e)/2, the swap and the exit map, each phase through
-    ``_in_halves``.  Above ``TINY_CORE_MAX`` nothing of payload size is
-    allocated but the result; up to it, the core is two products with
-    ``_tiny_core``'s matrices and one two-payload temporary.
+    DFTs normalise by 1/|G|^2.  In order run the entry map, the
+    second-variable DFTs, the first-variable DFTs, the add/sub pass to
+    (c + e)/2 and (c - e)/2, the swap and the exit map, the maps by row
+    blocks of one ``_scratch``.  Above ``TINY_CORE_MAX`` nothing of payload
+    size is allocated but the result; up to it, the core is two products
+    with ``_tiny_core``'s matrices and one two-payload temporary.
     """
     assert flip in ("before", "after", None), flip
     grp, n = x.group, x.group.order
@@ -358,29 +300,20 @@ def _fast_qft(x, axes: AxisPair, inverse: bool, left: bool, flip) -> np.ndarray:
         np.matmul(dft, terms.reshape(2 * n, 4 * n), out=out.reshape(n, 4 * n))
         return out
     entry, exit_ = _core_maps(axes, left, flip == "before")
-    planes = out.view(np.complex128)
-
-    def by_rows(rows, scratch):
-        c, e = planes[rows, :, 0], planes[rows, :, 1]
-        _bin_map(x.values, *entry, grp.neg_perm, out, scratch, rows)
-        _pocketfft(c, grp, inverse, 1, c)
-        _pocketfft(e, grp, inverse, 1, e, mirror=True)
-
-    def by_cols(cols, scratch):
-        pair, band = planes[:, cols], out[:, cols]
-        c, e = pair[..., 0], pair[..., 1]
-        _pocketfft(pair, grp, inverse, 0, pair)  # the mirror is on axis 1
-        np.subtract(c, e, out=e)
-        e *= 0.5
-        c -= e
-        if flip == "after":  # by bin-map row blocks (a row of e is half a row of bins)
-            (moved, partner), step = grp.neg_swaps, 2 * max(1, scratch.nbytes // (4 * e[0].nbytes))
-            for i in range(0, len(moved), step):  # pairs that trade places are adjacent
-                e[moved[i:i + step]] = e[partner[i:i + step]]
-        _bin_map(band, None, exit_, grp.neg_perm, band, scratch)
-
-    _in_halves(by_rows, n)
-    _in_halves(by_cols, n)
+    planes, scratch = out.view(np.complex128), _scratch(n)
+    c, e = planes[..., 0], planes[..., 1]
+    _bin_map(x.values, *entry, grp.neg_perm, out, scratch)
+    _pocketfft(c, grp, inverse, 1, c)
+    _pocketfft(e, grp, inverse, 1, e, mirror=True)
+    _pocketfft(planes, grp, inverse, 0, planes)  # the mirror is on axis 1
+    np.subtract(c, e, out=e)
+    e *= 0.5
+    c -= e
+    if flip == "after":  # by bin-map row blocks (a row of e is half a row of bins)
+        (moved, partner), step = grp.neg_swaps, 2 * max(1, scratch.nbytes // (4 * e[0].nbytes))
+        for i in range(0, len(moved), step):  # pairs that trade places are adjacent
+            e[moved[i:i + step]] = e[partner[i:i + step]]
+    _bin_map(out, None, exit_, grp.neg_perm, out, scratch)
     return out
 
 

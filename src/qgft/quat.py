@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 # Unit / perpendicularity tolerance for axis validation.  Construction
-# rejects out-of-tolerance axes instead of renormalizing them: a silently
-# fixed-up axis usually hides a bug in the caller.
+# rejects out-of-tolerance axes, since a silently fixed-up axis usually hides
+# a bug in the caller, and makes exact the axes it accepts.
 AXIS_TOL = 1e-9
 
 
@@ -215,7 +215,9 @@ class AxisPair:
     The pair selects the two transform planes: mu1 plays the role of i and
     mu2 the role of j, so {1, mu1, mu2, mu1*mu2} is an orthonormal frame
     with the same multiplication table as {1, i, j, k}.  Construction
-    validates the axes to within ``AXIS_TOL`` and rejects invalid input.
+    validates the axes to within ``AXIS_TOL``, then stores mu1's pure part
+    normalised and mu2's part perpendicular to it (projected twice),
+    normalised: the exact frame both the fast and direct paths assume.
     """
 
     mu1: Quaternion
@@ -230,6 +232,12 @@ class AxisPair:
                 )
         if abs((self.mu1 * self.mu2.conj()).scalar_part()) > AXIS_TOL:
             raise ValueError("mu1 and mu2 must be perpendicular")
+        mu1, mu2 = self.mu1.vector_part(), self.mu2.vector_part()
+        mu1 = mu1 / mu1.norm()
+        for _ in range(2):
+            mu2 = mu2 - mu1 * (mu2 * mu1.conj()).scalar_part()
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2 / mu2.norm())
 
     @cached_property
     def mu3(self) -> Quaternion:

@@ -141,7 +141,7 @@ class _QGrid:
     def _scaled(self, q: Quaternion, left: bool):
         """q * f(x) if ``left``, else f(x) * q: q's real 4x4 matrix
         (``quat._qmatrix``) applied to every bin by ``_bin_map``, whose blocks
-        keep each product on the calling thread up to order 512."""
+        keep each product on the calling thread."""
         out = np.empty(self.values.shape)
         _bin_map(self.values, None, _qmatrix(q.to_array(), left), self.group.neg_perm, out)
         return self._own(self.group, out)
@@ -301,42 +301,53 @@ def _pocketfft(values: np.ndarray, group: FiniteAbelianGroup, inverse: bool, var
 # Row blocks of at least this many bytes stay in cache across the gather and
 # products of a bin map, and its block-sized scratch stays far below one payload.
 _BLOCK_BYTES = 1 << 17
+# Up to this many multiply-adds a product runs on the calling thread: OpenBLAS (interface/gemm.c)
+# starts its own workers above SMP_THRESHOLD_MIN (65536) times GEMM_MULTITHREAD_THRESHOLD (4 by
+# default), and on a busy host a product that waits for one costs milliseconds.  Bin-map blocks
+# and qft's tiny-core row blocks stay within it, which leaves their bits as they were.
+_BLAS_SERIAL_MAX = 1 << 18
+
+
+def _block_rows(order: int) -> int:
+    """The rows of bins in a ``_bin_map`` block of group order ``order``: ``_BLOCK_BYTES``, one
+    row or 1/16 payload, whichever is most (few numpy calls), but at most one payload and at
+    most ``_BLAS_SERIAL_MAX`` multiply-adds (16 per bin)."""
+    most = max(_BLOCK_BYTES, 32 * order, 2 * order * order) // (32 * order)
+    return max(1, min(most, order, _BLAS_SERIAL_MAX // (16 * order)))
 
 
 def _scratch(order: int) -> np.ndarray:
-    """A ``_bin_map`` block for group order ``order``: ``_BLOCK_BYTES``, one row or 1/16
-    payload, whichever is most (few numpy calls, each a GIL wait), but at most one payload.
-    Allocate a worker thread's in its caller: a thread that allocates grows its own heap."""
-    return np.empty(min(max(_BLOCK_BYTES, 32 * order, 2 * order * order), 32 * order * order) // 8)
+    """Scratch for one ``_bin_map`` block of group order ``order``."""
+    return np.empty(_block_rows(order) * 4 * order)
 
 
 def _bin_map(x: np.ndarray, flipped, plain: np.ndarray, neg: np.ndarray, out: np.ndarray,
-             scratch=None, rows: slice = slice(None)) -> None:
+             scratch=None) -> None:
     """out = x @ plain, plus x read at -x1 @ flipped unless ``flipped`` is None.
 
-    The real 4x4 maps act on every bin of the ``(n, n, 4)`` payload, as a row
-    vector (``neg`` is the group's negation permutation), in the ``rows`` of
-    ``out``, by row blocks the size of ``scratch`` (a ``_scratch`` by default).
-    The block's row gather goes into scratch, its flipped product straight into
-    ``out`` and then its plain product into scratch, to be added.  ``x`` and
-    ``out`` may be one array, or column bands, if ``flipped`` is None; in place
-    the product goes through scratch, not through a copy numpy allocates."""
-    scratch = _scratch(len(x)) if scratch is None else scratch
-    # a payload's rows of bins make one matrix of bins; a band's do not
-    shape = (-1, 4) if x.flags.c_contiguous and out.flags.c_contiguous else (-1,) + x.shape[1:]
-    step = max(1, scratch.nbytes // x[0].nbytes)
-    start, stop, _ = rows.indices(len(out))
-    for i in range(start, stop, step):
-        block = slice(i, min(i + step, stop))
-        dst, src = out[block].reshape(shape), x[block].reshape(shape)
-        tmp = scratch[:dst.size].reshape((-1,) + x.shape[1:])
-        if flipped is not None:  # take's "raise" mode would buffer the gather
-            np.matmul(x.take(neg[block], 0, tmp, "clip").reshape(shape), flipped, out=dst)
-            dst += np.matmul(src, plain, out=tmp.reshape(shape))
-        elif x is out:
-            dst[...] = np.matmul(src, plain, out=tmp.reshape(shape))
-        else:
-            np.matmul(src, plain, out=dst)
+    The real 4x4 maps act on every bin of the C-ordered ``(n, n, 4)`` payload, as a row vector
+    (``neg`` is the group's negation permutation), by ``_block_rows`` blocks.  A plain map out
+    of place writes straight into ``out``.  Otherwise a block's row gather goes into ``scratch``
+    (a ``_scratch`` by default), its flipped product into ``out`` and its plain product into
+    scratch, to be added; ``x`` may be ``out`` if ``flipped`` is None, and the product then goes
+    through scratch, not through a copy numpy allocates."""
+    n = len(x)
+    step = _block_rows(n)
+    if flipped is None and x is not out:
+        for i in range(0, n, step):
+            np.matmul(x[i:i + step].reshape(-1, 4), plain, out=out[i:i + step].reshape(-1, 4))
+        return
+    scratch = _scratch(n) if scratch is None else scratch
+    for i in range(0, n, step):
+        block = slice(i, i + step)
+        dst, src = out[block].reshape(-1, 4), x[block].reshape(-1, 4)
+        tmp = scratch[:dst.size]
+        if flipped is None:
+            dst[...] = np.matmul(src, plain, out=tmp.reshape(-1, 4))
+        else:  # take's "raise" mode would buffer the gather
+            gathered = x.take(neg[block], 0, tmp.reshape(x[block].shape), "clip")
+            np.matmul(gathered.reshape(-1, 4), flipped, out=dst)
+            dst += np.matmul(src, plain, out=tmp.reshape(-1, 4))
 
 
 def _projection(axes: AxisPair, components: tuple) -> np.ndarray:

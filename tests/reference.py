@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from qgft.group import TWO_PI, GroupElement, _check_axis
-from qgft.qft import _HAMILTON, _apply_stage, _defining_sum, _stage_matrix, rqft_direct
-from qgft.quat import DEFAULT_AXES, AxisPair, Quaternion, qconj, qmul
+from qgft.qft import _apply_stage, _defining_sum, _stage_matrix, rqft_direct
+from qgft.quat import _HAMILTON, DEFAULT_AXES, AxisPair, Quaternion, qconj, qmul
 from qgft.signal import transform_beta
 
 

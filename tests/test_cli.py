@@ -463,9 +463,8 @@ def test_groups_of_rank_above_32(rng, tmp_path, capsys):
     assert capsys.readouterr().out.count("result: PASS (52 checks") == 2
 
 
-# From qft.PARALLEL_DFT_MIN on, the fast core runs each phase in two
-# halves, one of them on a worker thread; this group is at or above it.
-THREADED_MODULI = (16, 18)
+# a rank-2 group above signal.TINY_CORE_MAX whose payload spans several bin-map blocks
+BLOCKED_MODULI = (16, 18)
 
 
 @pytest.mark.parametrize("argv, side, moduli", [
@@ -473,14 +472,13 @@ THREADED_MODULI = (16, 18)
     # above signal.TINY_CORE_MAX, where the inverse DFTs sum before they scale
     (("inverse", "--kind", "sqft"), "dual", (33,)),
     (("smooth", "--family", "dirichlet", "--level", "1"), "primal", (8,)),
-    (("transform",), "primal", THREADED_MODULI),
-    (("inverse", "--kind", "sqft"), "dual", THREADED_MODULI),
-], ids=["transform", "inverse", "smooth", "transform-threaded", "inverse-threaded"])
+    (("transform",), "primal", BLOCKED_MODULI),
+    (("inverse", "--kind", "sqft"), "dual", BLOCKED_MODULI),
+], ids=["transform", "inverse", "smooth", "transform-blocked", "inverse-blocked"])
 def test_overflowing_result_exits_2(tmp_path, capsys, argv, side, moduli):
-    # a finite file whose transform or smoothing overflows float64; the
-    # worker thread must see the command's errstate, or its FFT warns
+    # a finite file whose transform or smoothing overflows float64: one
+    # error line, no warning from the FFTs or the bin maps
     group = FiniteAbelianGroup(moduli)
-    assert moduli != THREADED_MODULI or group.order >= qft.PARALLEL_DFT_MIN
     grid = QSpectrum if side == "dual" else QSignal
     values = np.full((group.order, group.order, 4), 1e308)
     if argv[0] == "smooth":  # a constant smooths to itself: align f with the kernel's signs

@@ -154,9 +154,15 @@ def test_axis_pair_validation():
         AxisPair(Quaternion(0.5, 1, 0, 0), J)  # not pure
     with pytest.raises(ValueError, match="perpendicular"):
         AxisPair(I, I)
-    # construction rejects rather than renormalizes
+    # construction rejects what is out of tolerance and makes exact what it accepts
     with pytest.raises(ValueError):
         AxisPair(Quaternion(0, 1 + 1e-6, 0, 0), J)
+    assert AxisPair(Quaternion(1e-10, 1 + 1e-10, 0, 0), Quaternion(0, 1e-10, -1, 0)) == AxisPair(I, -J)
+    axes = AxisPair(Quaternion(0, 0.6, 0.8 + 1e-10, 0), Quaternion(0, 0.8, -0.6, 1e-10))
+    for mu in (axes.mu1, axes.mu2):
+        assert mu.w == 0.0 and abs(mu.norm() - 1.0) <= 2e-16
+    assert abs((axes.mu1 * axes.mu2.conj()).scalar_part()) <= 1e-16
+    assert AxisPair(I, J) == DEFAULT_AXES and DEFAULT_AXES.mu3 == K
 
 
 def test_axis_pair_mu3(rng):

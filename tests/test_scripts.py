@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qgft import qft, signal
+from qgft import signal
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,17 +79,13 @@ def test_output_digest_script():
 def test_output_digest_covers_each_side_of_every_size_switch():
     # a threshold that moves must not silently drop a path from the digest
     script = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
-    threaded = [math.prod(m) for m in script["THREADED_GROUPS"]]
-    assert min(threaded) >= qft.PARALLEL_DFT_MIN and any(n % 2 for n in threaded)
     orders = [math.prod(m) for m in script["GROUPS"] + script["CORE_GROUPS"]]
-    assert any(signal.TINY_CORE_MAX < n < qft.PARALLEL_DFT_MIN for n in orders)
     # convolve runs on these; smoothing and the energy identity on the next list
     assert min(orders) <= signal.TINY_CORE_MAX < max(orders)
     smoothed = [math.prod(m) for m in script["GROUPS"] + script["FFT_SMOOTH_GROUPS"]]
     assert min(smoothed) <= signal.TINY_CORE_MAX < max(smoothed)
     # transform_W's and transform_beta's payload of 32 n^2 bytes over more than one map block
-    mapped = [math.prod(m) for m in script["GROUPS"] + script["BLOCKED_MAP_GROUPS"]]
-    assert any(32 * n * n > signal._scratch(n).nbytes for n in mapped)
+    assert any(32 * n * n > signal._scratch(n).nbytes for n in orders)
 
 
 def test_readme_is_short_and_cites_existing_changes_entries():
@@ -99,15 +95,14 @@ def test_readme_is_short_and_cites_existing_changes_entries():
               for line in (ROOT / "CHANGES.md").read_text().splitlines() if line.startswith("- ")}
     readme = (ROOT / "README.md").read_text()
     assert len(readme.splitlines()) <= 300
-    for module, name in (("signal", "TINY_CORE_MAX"), ("qft", "PARALLEL_DFT_MIN")):
-        lines = (ROOT / "src" / "qgft" / f"{module}.py").read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith(f"{name} = "))
-        start = at
-        while lines[start - 1].startswith("#"):
-            start -= 1
-        comment = " ".join(line.lstrip("# ") for line in lines[start:at])
-        cited = re.findall(r'CHANGES\.md, "([^"]+)"', comment)
-        assert cited and set(cited) <= titles, name
+    lines = (ROOT / "src" / "qgft" / "signal.py").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("TINY_CORE_MAX = "))
+    start = at
+    while lines[start - 1].startswith("#"):
+        start -= 1
+    comment = " ".join(line.lstrip("# ") for line in lines[start:at])
+    cited = re.findall(r'CHANGES\.md, "([^"]+)"', comment)
+    assert cited and set(cited) <= titles
     cited = re.findall(r'Measured in "([^"]+)"(?: and "([^"]+)")?', " ".join(readme.split()))
     assert cited and {t for pair in cited for t in pair if t} <= titles
 

@@ -4,7 +4,6 @@ import pickle
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -212,94 +211,45 @@ def test_dft_matrix_path_matches_pocketfft(monkeypatch, rng, moduli, inverse):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-# odd orders split into uneven halves, and Z_1 factors change no grid axis
-@pytest.mark.parametrize("moduli", [(288,), (9, 32), (5, 7, 9), (1, 18, 1, 16)])
-def test_threaded_dfts_give_the_sequential_bits(monkeypatch, rng, moduli):
-    g = FiniteAbelianGroup(moduli)
-    assert g.order >= qft.PARALLEL_DFT_MIN
-    f, F = random_signal(g, rng), random_spectrum(g, rng)
-    axes = random_axis_pair(rng)
-
-    calls = [(op, f) for op in qft.FORWARD_FAST.values()]
-    calls += [(op, F) for op in qft.INVERSE_FAST.values()]
-
-    def outputs():
-        for op, x in calls:
-            yield op(x).values
-            yield op(x, axes).values
-
-    threaded = list(outputs())
-    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", g.order + 1)
-    for got, want in zip(threaded, outputs(), strict=True):
-        assert np.array_equal(got, want)
-
-
-def test_halves_run_in_the_callers_context_and_join(monkeypatch):
-    before, seen = threading.active_count(), {}
-
-    def where(rows, scratch):
-        main = threading.current_thread() is threading.main_thread()
-        seen[rows.indices(4)] = main, np.geterr(), np.getbufsize()
-
-    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", 5)  # below it: the whole range, here
-    qft._in_halves(where, 4)
-    assert list(seen) == [(0, 4, 1)] and seen[0, 4, 1][0]
-    monkeypatch.setattr(qft, "PARALLEL_DFT_MIN", 0)
-    seen.clear()
-    with np.errstate(over="ignore", invalid="raise"):
-        qft._in_halves(where, 4)
-    (main, err, size), (main_too, err_too, size_too) = seen[0, 2, 1], seen[2, 4, 1]
-    assert not main and main_too and err == err_too
-    assert err["over"] == "ignore" and err["invalid"] == "raise"
-    # the worker's context is copied after the ufunc buffers are bounded
-    assert size == size_too == 16 != np.getbufsize()
-    assert threading.active_count() == before
-
-    for failing in (0, 2):  # the other half is still running when one fails
-        done = []
-
-        def phase(rows, scratch, failing=failing):
-            if rows.indices(4)[0] == failing:
-                raise MemoryError(f"half {failing}")
-            time.sleep(0.05)
-            done.append(rows)
-
-        with pytest.raises(MemoryError, match=f"half {failing}"):
-            qft._in_halves(phase, 4)
-        assert done and threading.active_count() == before
-
-    def no_thread(self):  # a host out of threads: both halves run in the caller
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    seen.clear()
-    qft._in_halves(where, 4)
-    assert list(seen) == [(0, 2, 1), (2, 4, 1)] and all(main for main, _, _ in seen.values())
-
-
-def test_worker_errors_reach_the_caller(monkeypatch, rng, tmp_path, capsys):
-    g = FiniteAbelianGroup((9, 32))
-    assert g.order >= qft.PARALLEL_DFT_MIN
+def test_the_library_starts_no_thread(monkeypatch, rng, tmp_path):
+    # the fast core above TINY_CORE_MAX, in process and through the CLI
+    g = FiniteAbelianGroup((16, 18))
     f = random_signal(g, rng)
     write_qsig(str(tmp_path / "f.qsig"), f)
-    # the fast core's worker runs the row phase's second-variable DFTs, then
-    # the column phase's first-variable ones: fail in each in turn
-    for variable in (1, 0):
-        def worker_out_of_memory(*args, failing=variable, **kwargs):
-            if (threading.current_thread() is not threading.main_thread()
-                    and args[3] == failing):
-                raise MemoryError("worker")
-            return _pocketfft(*args, **kwargs)
+    started, start = [], threading.Thread.start
 
-        monkeypatch.setattr(qft, "_pocketfft", worker_out_of_memory)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="worker"):
-            qft.rqft_fast(f)
-        assert threading.active_count() == before
-        assert cli.main(["transform", str(tmp_path / "f.qsig"), str(tmp_path / "F.qsig")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("qgft: error: out of memory") == 1 and "Traceback" not in err
-        assert threading.active_count() == before and not (tmp_path / "F.qsig").exists()
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    qft.rqft_fast(f)
+    assert cli.main(["transform", str(tmp_path / "f.qsig"), str(tmp_path / "F.qsig")]) == 0
+    assert read_qsig(str(tmp_path / "F.qsig")).values.tobytes() == qft.rqft_fast(f).values.tobytes()
+    assert started == []
+
+
+@pytest.mark.parametrize("order", [256, 512, 1024, 4096])
+def test_bin_map_blocks_stay_on_the_calling_blas_thread(order):
+    # a block of r rows of bins is one (r * order, 4) @ (4, 4) product: 16 multiply-adds a bin
+    rows = signal._scratch(order).size // (4 * order)
+    assert 1 <= rows <= order and rows * order * 16 <= signal._BLAS_SERIAL_MAX
+
+
+def test_bin_map_blocks_of_any_size_give_the_same_bits(monkeypatch, rng):
+    # three rows a block (the last one short), against the blocks the order gets by default
+    g = FiniteAbelianGroup((5, 7))
+    f, F = random_signal(g, rng), random_spectrum(g, rng)
+    axes, q = random_axis_pair(rng), Quaternion(*rng.standard_normal(4))
+    calls = [lambda: f.left_mul(q), lambda: F.right_mul(q), lambda: transform_W(f, axes)]
+    calls += [lambda op=op: op(F, axes) for op in qft.INVERSE_FAST.values()]
+    calls += [lambda op=op: op(f, axes) for op in qft.FORWARD_FAST.values()]
+    want = [call().values for call in calls]
+    assert signal._block_rows(g.order) == g.order
+    monkeypatch.setattr(signal, "_BLAS_SERIAL_MAX", 3 * 16 * g.order)
+    assert signal._block_rows(g.order) == 3
+    for call, values in zip(calls, want, strict=True):
+        assert np.array_equal(call().values, values)
 
 
 def test_lp_norms_constant():
